@@ -37,8 +37,6 @@ from .operators import (
     assemble_operators,
     assemble_S,
     assemble_calB,
-    assemble_T,
-    assemble_uT,
     fractional_power,
     kato_check,
     matrix_sign,
@@ -48,13 +46,15 @@ from .operators import (
 from .boundary import (
     SgnBlocks,
     SingularBlockError,
+    SpectralCore,
+    build_core,
     gamma_dn,
     gamma_minus,
     gamma_nd,
     key_lemma_check,
     rellich_constant,
+    rellich_from_blocks,
     sgn_blocks,
-    sgn_blocks_for_coefficients,
 )
 from .quadnorms import (
     PsiSpec,

@@ -28,13 +28,15 @@ from .operators import (
 
 __all__ = [
     "SgnBlocks",
+    "SpectralCore",
     "sgn_blocks",
-    "sgn_blocks_for_coefficients",
+    "build_core",
     "gamma_nd",
     "gamma_dn",
     "gamma_minus",
     "key_lemma_check",
     "rellich_constant",
+    "rellich_from_blocks",
     "SingularBlockError",
 ]
 
@@ -68,14 +70,25 @@ def sgn_blocks(uT: OperatorMatrix, method: str = "eigen") -> SgnBlocks:
     return SgnBlocks(uT.grid, s11.copy(), s12.copy(), s21.copy(), s22.copy())
 
 
-def sgn_blocks_for_coefficients(A: CoefficientField, method: str = "eigen"):
-    """Blocks of sgn(uT) for the first-order coefficients B = hat(A).
+@dataclass(frozen=True)
+class SpectralCore:
+    """Everything built from one coefficient field A: B = hat(A), S, calB,
+    T = calB S, uT = S calB and the blocks of sgn(uT).  The factorization
+    behind the blocks stays on uT, so later spectral maps of uT reuse it."""
 
-    Returns (blocks, operators) with operators = (S, calB, T, uT).
-    """
+    B: CoefficientField
+    S: OperatorMatrix
+    calB: OperatorMatrix
+    T: OperatorMatrix
+    uT: OperatorMatrix
+    blocks: SgnBlocks
+
+
+def build_core(A: CoefficientField, method: str = "eigen") -> SpectralCore:
+    """Assemble the first-order operators for A and the blocks of sgn(uT)."""
     B = hat_transform(A)
     S, calB, T, uT = assemble_operators(B)
-    return sgn_blocks(uT, method=method), (S, calB, T, uT)
+    return SpectralCore(B, S, calB, T, uT, sgn_blocks(uT, method=method))
 
 
 def _weighted(grid: GridSpec, M: np.ndarray, s: float) -> np.ndarray:
@@ -163,16 +176,6 @@ def gamma_minus(
     return -G
 
 
-def gamma_minus_alt(
-    blocks: SgnBlocks, s: float = -0.5, floor: float = DEFAULT_SV_FLOOR
-) -> np.ndarray:
-    """Alternative factorization -(I + s22)^-1 s21 of the lower map."""
-    grid = blocks.grid
-    K = grid.nmodes
-    eye = np.eye(K)
-    return -_solve_block(grid, eye + blocks.s22, blocks.s21, s, floor, "I + s22")
-
-
 def key_lemma_check(
     blocks: SgnBlocks,
     s: float = -0.5,
@@ -224,24 +227,31 @@ def key_lemma_check(
     return report
 
 
-def rellich_constant(A: CoefficientField, floor: float = DEFAULT_SV_FLOOR) -> dict:
+def rellich_from_blocks(blocks: SgnBlocks, floor: float = DEFAULT_SV_FLOOR):
     """Forward/inverse boundary Rellich constants in the L2 topology.
 
     forward = operator norm of the Neumann-to-Dirichlet map, inverse =
-    norm of the Dirichlet-to-Neumann map; entries are reported as inf when
-    the relevant block is singular at this resolution.
+    norm of the Dirichlet-to-Neumann map; a constant is inf when its block
+    is singular at this resolution.  Returns (forward, inverse, Gamma_ND),
+    Gamma_ND at s = 0 or None when s12 is singular.
     """
-    blocks, _ = sgn_blocks_for_coefficients(A)
     grid = blocks.grid
-    out = {"block_class": A.block_class, "N": grid.N}
     try:
         G = gamma_nd(blocks, s=0.0, floor=floor, check_agreement=False)
-        out["forward"] = weighted_norm(grid, G, 0.0)
+        forward = weighted_norm(grid, G, 0.0)
     except SingularBlockError:
-        out["forward"] = float("inf")
+        G, forward = None, float("inf")
     try:
-        G = gamma_dn(blocks, s=0.0, floor=floor, check_agreement=False)
-        out["inverse"] = weighted_norm(grid, G, 0.0)
+        Gdn = gamma_dn(blocks, s=0.0, floor=floor, check_agreement=False)
+        inverse = weighted_norm(grid, Gdn, 0.0)
     except SingularBlockError:
-        out["inverse"] = float("inf")
-    return out
+        inverse = float("inf")
+    return forward, inverse, G
+
+
+def rellich_constant(A: CoefficientField, floor: float = DEFAULT_SV_FLOOR) -> dict:
+    """Rellich constants of A (see rellich_from_blocks) with its block class
+    and grid size."""
+    forward, inverse, _ = rellich_from_blocks(build_core(A).blocks, floor)
+    return {"block_class": A.block_class, "N": A.grid.N,
+            "forward": forward, "inverse": inverse}

@@ -23,11 +23,11 @@ import numpy as np
 
 from .boundary import (
     SingularBlockError,
+    build_core,
     gamma_dn,
     gamma_nd,
     key_lemma_check,
-    rellich_constant,
-    sgn_blocks,
+    rellich_from_blocks,
 )
 from .coeffs import FAMILY_KINDS, NonAccretiveError, hat_transform, make_family
 from .dump import load_coefficient_spec, write_report, write_strip_field
@@ -35,7 +35,7 @@ from .expr import ExprError, evaluate_expr
 from .grid import GridSpec, remove_mean
 from .operators import (
     BisectorialityError,
-    assemble_operators,
+    OperatorMatrix,
     kato_check,
     matrix_sign,
     spectral_projectors,
@@ -141,16 +141,16 @@ def _verify_item(args: tuple) -> dict:
     grid = GridSpec(n=n, N=N, L=L)
     seed = item_seed(master, item["index"])
     A = make_family(grid, item["family"], seed=seed)
-    B = hat_transform(A)
+    core = build_core(A)
+    S, calB, T, uT = core.S, core.calB, core.T, core.uT
     out = {
         "id": f"{item['family']}-{item['rep']}",
         "block_class": A.block_class,
     }
     # hat involution on this member
     out["hat_involution"] = float(
-        np.max(np.abs(hat_transform(B).samples - A.samples))
+        np.max(np.abs(hat_transform(core.B).samples - A.samples))
     )
-    S, calB, T, uT = assemble_operators(B)
     sg = matrix_sign(uT)
     dim = sg.dim
     eye = np.eye(dim)
@@ -171,7 +171,7 @@ def _verify_item(args: tuple) -> dict:
     out["intertwine_BuT_TB"] = float(
         np.linalg.norm(calB.matrix @ uT.matrix - T.matrix @ calB.matrix, 2)
     )
-    blocks = sgn_blocks(uT)
+    blocks = core.blocks
     try:
         K = grid.nmodes
         g1 = gamma_nd(blocks, s=-0.5, check_agreement=True)
@@ -350,28 +350,22 @@ def _rellich_item(args: tuple) -> dict:
     seed = item_seed(master, item["index"])
     A = make_family(grid, item["family"], seed=seed)
     row = {"id": f"{item['family']}-{item['rep']}", "block_class": A.block_class, "N": N}
-    rc = rellich_constant(A)
-    row["forward"] = rc["forward"]
-    row["inverse"] = rc["inverse"]
-    B = hat_transform(A)
-    S, calB, T, uT = assemble_operators(B)
-    blocks = sgn_blocks(uT)
-    sg = matrix_sign(uT)
-    Pp, Pm = spectral_projectors(sg)
+    blocks = build_core(A).blocks
+    row["forward"], row["inverse"], G = rellich_from_blocks(blocks)
+    _, Pm = spectral_projectors(OperatorMatrix(grid, blocks.reassemble()))
     K = grid.nmodes
     rng = np.random.default_rng(seed + 1)
     f = rng.standard_normal(K) + 1j * rng.standard_normal(K)
-    try:
-        G = gamma_nd(blocks, s=0.0, check_agreement=False)
+    # both entries are inf when s12 or I - s22 is singular
+    row["graph_residual"] = row["factorization_mismatch"] = float("inf")
+    if G is not None:
+        try:
+            G2 = np.linalg.solve(np.eye(K) - blocks.s22, blocks.s21)
+        except np.linalg.LinAlgError:
+            return row
         vec = np.concatenate([f, G @ f])
-        row["graph_residual"] = float(
-            np.linalg.norm(Pm.matrix @ vec) / np.linalg.norm(f)
-        )
-        G2 = np.linalg.solve(np.eye(K) - blocks.s22, blocks.s21)
+        row["graph_residual"] = float(np.linalg.norm(Pm.matrix @ vec) / np.linalg.norm(f))
         row["factorization_mismatch"] = float(np.linalg.norm(G - G2, 2))
-    except (SingularBlockError, np.linalg.LinAlgError):
-        row["graph_residual"] = float("inf")
-        row["factorization_mismatch"] = float("inf")
     return row
 
 
@@ -398,7 +392,6 @@ def run_rellich(config: ExperimentConfig) -> int:
 
 def run_convergence(config: ExperimentConfig) -> int:
     from .oracle import StripMesh, gamma_nd_comparison
-    from .boundary import sgn_blocks_for_coefficients
 
     ladder = config.options.get("ladder", [[16, 64], [32, 128], [64, 256]])
     band = float(config.options.get("band", 8.0))
@@ -408,8 +401,7 @@ def run_convergence(config: ExperimentConfig) -> int:
         grid = GridSpec(n=config.n, N=int(N), L=config.L)
         A = make_family(grid, "smooth_trig", seed=item_seed(config.seed, 0),
                         amplitude=amplitude)
-        blocks, _ = sgn_blocks_for_coefficients(A)
-        Gs = gamma_nd(blocks, s=-0.5)
+        Gs = gamma_nd(build_core(A).blocks, s=-0.5)
         mesh = StripMesh.graded(grid, int(M), T_max=8 * grid.L)
         rep = gamma_nd_comparison(A, mesh, Gs, band=band)
         rows.append({"N": int(N), "M": int(M), **{k: rep[k] for k in sorted(rep)}})

@@ -109,9 +109,6 @@ class CoefficientField:
     def d(self) -> np.ndarray:
         return self.samples[..., 1:, 1:]
 
-    def sup_norm(self) -> float:
-        return self.Lamb
-
 
 def accretivity_bound(A: CoefficientField) -> float:
     """Largest lambda with Re(A(x) z . z) >= lambda |z|^2 at every point."""

@@ -2,7 +2,8 @@
 
 Grammar:
     expr   := term (('+'|'-') term)*
-    term   := factor (('*'|'/') factor)*
+    term   := unary (('*'|'/') unary)*
+    unary  := '-' unary | factor
     factor := number | 'i' | 'x1' | 'x2' | func '(' expr ')'
               | '(' expr ')' | factor '^' integer
     func   in {sin, cos, exp}
@@ -112,11 +113,18 @@ class _Parser:
         return node
 
     def term(self):
-        node = self.factor()
+        node = self.unary()
         while self.cur.kind == "op" and self.cur.text in "*/":
             op = self.advance()
-            node = (op.text, node, self.factor(), (op.line, op.col))
+            node = (op.text, node, self.unary(), (op.line, op.col))
         return node
+
+    def unary(self):
+        # binds looser than '^', so -2^2 is -(2^2)
+        if self.cur.kind == "op" and self.cur.text == "-":
+            self.advance()
+            return ("neg", self.unary())
+        return self.factor()
 
     def factor(self):
         tok = self.cur
@@ -170,6 +178,8 @@ def _eval(node, env: dict) -> np.ndarray | complex:
         return _FUNCS[node[1]](_eval(node[2], env))
     if kind == "pow":
         return _eval(node[1], env) ** node[2]
+    if kind == "neg":
+        return -_eval(node[1], env)
     if kind in ("+", "-") and len(node) == 3:
         a, b = _eval(node[1], env), _eval(node[2], env)
         return a + b if kind == "+" else a - b

@@ -102,12 +102,6 @@ class GridSpec:
     def nonzero_mask(self) -> np.ndarray:
         return self.freq_magnitude() > 0
 
-    def mode_frequencies(self) -> np.ndarray:
-        """Frequencies of the nonzero modes in flat order, shape (n, nmodes)."""
-        mask = self.nonzero_mask().ravel()
-        xi = self.frequencies().reshape(self.n, -1)
-        return xi[:, mask]
-
     def mode_magnitudes(self) -> np.ndarray:
         m = self.freq_magnitude().ravel()
         return m[m > 0]

@@ -11,7 +11,7 @@ eigenbases.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -25,8 +25,6 @@ __all__ = [
     "BisectorialityError",
     "assemble_S",
     "assemble_calB",
-    "assemble_T",
-    "assemble_uT",
     "assemble_operators",
     "matrix_sign",
     "spectral_projectors",
@@ -49,7 +47,6 @@ class BisectorialityError(RuntimeError):
 class OperatorMatrix:
     grid: GridSpec
     matrix: np.ndarray
-    space_tag: str = "H0"
 
     def __post_init__(self):
         dim = 2 * self.grid.nmodes
@@ -88,15 +85,13 @@ class SpectralDecomposition:
         return (self.vectors * f(self.eigenvalues)) @ self.vectors_inv
 
 
-_DECOMP_CACHE: dict[int, tuple] = {}
-
-
 def decompose(op: OperatorMatrix) -> SpectralDecomposition:
-    # key on the array identity; pin the array so the id cannot be recycled
-    key = id(op.matrix)
-    cached = _DECOMP_CACHE.get(key)
-    if cached is not None and cached[0] is op.matrix:
-        return cached[1]
+    """Eigendecomposition of op, computed on first use and kept on the
+    instance: it is freed with the operator, and another operator is
+    factored afresh even when its entries are equal."""
+    dec = op.__dict__.get("_decomposition")
+    if dec is not None:
+        return dec
     lam, W = np.linalg.eig(op.matrix)
     Winv = np.linalg.inv(W)
     cond = float(np.linalg.cond(W))
@@ -106,9 +101,8 @@ def decompose(op: OperatorMatrix) -> SpectralDecomposition:
     err = np.linalg.norm(recon - op.matrix)
     reliable = bool(err <= 1e-8 * max(scale, 1e-300) and np.isfinite(cond))
     dec = SpectralDecomposition(lam, W, Winv, cond, margin, reliable)
-    if len(_DECOMP_CACHE) > 64:
-        _DECOMP_CACHE.clear()
-    _DECOMP_CACHE[key] = (op.matrix, dec)
+    # the dataclass is frozen; its __setattr__ guards the fields, not __dict__
+    op.__dict__["_decomposition"] = dec
     return dec
 
 
@@ -242,16 +236,6 @@ def assemble_calB(B: CoefficientField, accretivity_floor: float = 1e-10):
     return op, blocks
 
 
-def assemble_T(grid: GridSpec, calB: OperatorMatrix) -> OperatorMatrix:
-    S = assemble_S(grid)
-    return OperatorMatrix(grid, calB.matrix @ S.matrix)
-
-
-def assemble_uT(grid: GridSpec, calB: OperatorMatrix) -> OperatorMatrix:
-    S = assemble_S(grid)
-    return OperatorMatrix(grid, S.matrix @ calB.matrix)
-
-
 def assemble_operators(B: CoefficientField):
     """Convenience: (S, calB, T, uT) for a first-order coefficient field B."""
     grid = B.grid
@@ -329,7 +313,7 @@ def matrix_sign(op: OperatorMatrix, method: str = "eigen") -> OperatorMatrix:
         m = _sign_newton(op)
     else:
         raise ValueError(f"unknown sign method {method!r}")
-    return OperatorMatrix(op.grid, m, space_tag=op.space_tag)
+    return OperatorMatrix(op.grid, m)
 
 
 def spectral_projectors(sgn_op: OperatorMatrix, tol: float = 1e-6):
@@ -341,8 +325,8 @@ def spectral_projectors(sgn_op: OperatorMatrix, tol: float = 1e-6):
     P_plus = 0.5 * (eye + m)
     P_minus = eye - P_plus
     return (
-        OperatorMatrix(sgn_op.grid, P_plus, space_tag=sgn_op.space_tag),
-        OperatorMatrix(sgn_op.grid, P_minus, space_tag=sgn_op.space_tag),
+        OperatorMatrix(sgn_op.grid, P_plus),
+        OperatorMatrix(sgn_op.grid, P_minus),
     )
 
 
@@ -374,16 +358,6 @@ def semigroup_apply(
     return dec.vectors @ (factors * coeff)
 
 
-def semigroup_matrix(op: OperatorMatrix, t: float) -> np.ndarray:
-    """Matrix of e^{-t op} P+ (decaying part only)."""
-    dec = check_bisectorial(op)
-    lam = dec.eigenvalues
-    factors = np.zeros(len(lam), dtype=complex)
-    pos = lam.real >= 0
-    factors[pos] = np.exp(-t * lam[pos])
-    return dec.function_matrix(lambda _: factors)
-
-
 def fractional_power(op: OperatorMatrix, s: float) -> OperatorMatrix:
     """|op|^s via eigenvalue magnitudes; |op|^1 = sgn(op) op."""
     if not -1.0 <= s <= 1.0:
@@ -392,7 +366,7 @@ def fractional_power(op: OperatorMatrix, s: float) -> OperatorMatrix:
     if not dec.reliable:
         raise ValueError("unreliable eigendecomposition; refusing fractional power")
     m = dec.function_matrix(lambda lam: np.abs(lam) ** s + 0j)
-    return OperatorMatrix(op.grid, m, space_tag=op.space_tag)
+    return OperatorMatrix(op.grid, m)
 
 
 def _scalar_multiplication_matrix(grid: GridSpec, samples: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .grid import GridSpec
-from .operators import OperatorMatrix, decompose, fractional_power, weight_vector
+from .operators import OperatorMatrix, decompose, weight_vector
 
 __all__ = [
     "PsiSpec",
@@ -119,13 +119,17 @@ def semigroup_norm(
         raise ValueError("semigroup norm requires -1 <= s < 0")
     if not np.any(p):
         return 0.0
-    absval = fractional_power(uT, 1.0)
-    dec = decompose(absval)
+    # exp(-t |uT|) through uT's own eigenbasis: |uT| shares it, with
+    # eigenvalues |lambda|
+    dec = decompose(uT)
+    if not dec.reliable:
+        raise ValueError("unreliable eigendecomposition; refusing the semigroup norm")
+    mags = np.abs(dec.eigenvalues)
     coeff = dec.vectors_inv @ p
     ts = _log_t_grid(uT, npoints)
     vals = np.empty(len(ts))
     for i, t in enumerate(ts):
-        vals[i] = np.linalg.norm(dec.vectors @ (np.exp(-t * dec.eigenvalues) * coeff)) ** 2
+        vals[i] = np.linalg.norm(dec.vectors @ (np.exp(-t * mags) * coeff)) ** 2
     integrand = ts ** (-2 * s) * vals
     total = np.trapezoid(integrand, np.log(ts))
     return float(np.sqrt(total))

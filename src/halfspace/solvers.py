@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import SgnBlocks, gamma_dn, gamma_nd, sgn_blocks
+from .boundary import SgnBlocks, build_core, gamma_dn, gamma_nd
 from .coeffs import CoefficientField, hat_transform
 from .grid import (
     BoundaryField,
@@ -197,12 +197,6 @@ def _triangularity_gate(A: CoefficientField, allowed, force: bool, problem: str)
     return True
 
 
-def _build(A: CoefficientField):
-    B = hat_transform(A)
-    S, calB, T, uT = assemble_operators(B)
-    return S, calB, T, uT, sgn_blocks(uT)
-
-
 def solve_neumann_l2(
     A: CoefficientField, f: np.ndarray, force: bool = False
 ) -> SolutionHandle:
@@ -218,8 +212,8 @@ def solve_neumann_l2(
     _require_mean_zero(grid, f, "Neumann datum")
     exploratory = _triangularity_gate(A, _LOWER, force, "Neumann")
 
-    S, calB, T, uT, blocks = _build(A)
-    G = gamma_nd(blocks, s=0.0)
+    core = build_core(A)
+    G = gamma_nd(core.blocks, s=0.0)
     fc = scalar_to_coeffs(grid, f)
     H0 = np.concatenate([fc, G @ fc])
 
@@ -230,8 +224,8 @@ def solve_neumann_l2(
     diag["norm_ratio"] = diag["trace_norm"] / max(diag["datum_norm"], 1e-300)
     if exploratory:
         diag["exploratory"] = True
-        diag.update(_s12_conditioning(blocks))
-    return SolutionHandle("l2_neumann", A, H0, uT, T, calB, 0.0, diag)
+        diag.update(_s12_conditioning(core.blocks))
+    return SolutionHandle("l2_neumann", A, H0, core.uT, core.T, core.calB, 0.0, diag)
 
 
 def solve_regularity_l2(
@@ -250,8 +244,8 @@ def solve_regularity_l2(
     _check_curl_free(grid, g)
     exploratory = _triangularity_gate(A, _UPPER, force, "regularity")
 
-    S, calB, T, uT, blocks = _build(A)
-    Gdn = gamma_dn(blocks, s=0.0)
+    core = build_core(A)
+    Gdn = gamma_dn(core.blocks, s=0.0)
     gc = _tangential_to_slot(grid, g)
     H0 = np.concatenate([Gdn @ gc, gc])
 
@@ -262,8 +256,8 @@ def solve_regularity_l2(
     diag["norm_ratio"] = diag["trace_norm"] / max(diag["datum_norm"], 1e-300)
     if exploratory:
         diag["exploratory"] = True
-        diag.update(_s12_conditioning(blocks))
-    return SolutionHandle("l2_regularity", A, H0, uT, T, calB, 0.0, diag)
+        diag.update(_s12_conditioning(core.blocks))
+    return SolutionHandle("l2_regularity", A, H0, core.uT, core.T, core.calB, 0.0, diag)
 
 
 def solve_dirichlet_l2(A: CoefficientField, u0: np.ndarray) -> SolutionHandle:
@@ -279,12 +273,12 @@ def solve_dirichlet_l2(A: CoefficientField, u0: np.ndarray) -> SolutionHandle:
         raise ValueError("Dirichlet datum must be a scalar grid field")
     _triangularity_gate(A, _LOWER, force=False, problem="Dirichlet")
 
-    S, calB, T, uT, blocks = _build(A)
+    core = build_core(A)
     c = complex(np.mean(u0))
     target = -scalar_to_coeffs(grid, u0 - c)
 
     K = grid.nmodes
-    dec = decompose(T)
+    dec = decompose(core.T)
     pos = dec.eigenvalues.real > 0
     Z = dec.vectors[:, pos]  # basis of the + subspace of T
     Ztop = Z[:K]
@@ -310,8 +304,8 @@ def solve_dirichlet_l2(A: CoefficientField, u0: np.ndarray) -> SolutionHandle:
         "datum_norm": l2_norm(grid, u0),
         "trace_norm": float(np.linalg.norm(H0t)),
     }
-    diag["square_function"] = _square_function(uT, S.matrix @ H0t, calB)
-    return SolutionHandle("l2_dirichlet", A, H0t, uT, T, calB, c, diag)
+    diag["square_function"] = _square_function(core.uT, core.S.matrix @ H0t, core.calB)
+    return SolutionHandle("l2_dirichlet", A, H0t, core.uT, core.T, core.calB, c, diag)
 
 
 def _square_function(
@@ -356,10 +350,10 @@ def solve_energy(
         raise ValueError("energy datum must be a scalar grid field")
     _require_mean_zero(grid, datum, "energy datum")
 
-    S, calB, T, uT, blocks = _build(A)
+    core = build_core(A)
     if problem == "neumann":
         fc = scalar_to_coeffs(grid, datum)
-        G = gamma_nd(blocks, s=-0.5)
+        G = gamma_nd(core.blocks, s=-0.5)
         H0 = np.concatenate([fc, G @ fc])
     elif problem == "dirichlet":
         # tangential gradient of the datum, spectrally
@@ -367,20 +361,20 @@ def solve_energy(
         xi = grid.frequencies()
         g = ifftn(grid, 1j * xi * dh)
         gc = _tangential_to_slot(grid, g)
-        Gdn = gamma_dn(blocks, s=-0.5)
+        Gdn = gamma_dn(core.blocks, s=-0.5)
         H0 = np.concatenate([Gdn @ gc, gc])
     else:
         raise ValueError(f"unknown energy problem {problem!r}")
 
     w = weight_vector(grid, -0.5)
     trace_nrm = float(np.linalg.norm(w * H0))
-    energy = _strip_energy(uT, H0)
+    energy = _strip_energy(core.uT, H0)
     diag = {
         "trace_norm_half": trace_nrm,
         "energy_norm": energy,
         "energy_ratio": energy / max(trace_nrm, 1e-300),
     }
-    return SolutionHandle("energy", A, H0, uT, T, calB, 0.0, diag)
+    return SolutionHandle("energy", A, H0, core.uT, core.T, core.calB, 0.0, diag)
 
 
 def _strip_energy(uT: OperatorMatrix, H0: np.ndarray, npoints: int = 400) -> float:

@@ -226,9 +226,9 @@ def test_criterion_05_spectral_oracle_cross_validation():
     for N, M in ladder:
         grid = GridSpec(n=1, N=N, L=2 * np.pi)
         A = make_family(grid, "smooth_trig", seed=0, amplitude=0.3)
-        from halfspace.boundary import sgn_blocks_for_coefficients
+        from halfspace.boundary import build_core
 
-        blocks, _ = sgn_blocks_for_coefficients(A)
+        blocks = build_core(A).blocks
         Gs = gamma_nd(blocks, s=-0.5)
         mesh = StripMesh.graded(grid, M, T_max=8 * grid.L)
         rep = gamma_nd_comparison(A, mesh, Gs, s=-0.5, band=band)

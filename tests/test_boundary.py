@@ -3,13 +3,13 @@ import pytest
 
 from halfspace.boundary import (
     SingularBlockError,
+    build_core,
     gamma_dn,
     gamma_minus,
     gamma_nd,
     key_lemma_check,
     rellich_constant,
     sgn_blocks,
-    sgn_blocks_for_coefficients,
 )
 from halfspace.coeffs import make_family
 from halfspace.grid import GridSpec
@@ -23,7 +23,7 @@ def grid():
 
 def blocks_for(grid, kind, seed=0, **kw):
     A = make_family(grid, kind, seed=seed, **kw)
-    blocks, _ = sgn_blocks_for_coefficients(A)
+    blocks = build_core(A).blocks
     return A, blocks
 
 

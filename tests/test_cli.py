@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from halfspace import boundary, cli
 from halfspace.cli import ExperimentConfig, build_config, item_seed, main
 
 
@@ -133,3 +134,32 @@ def test_non_accretive_coefficients_rejected(tmp_path):
         )
     )
     assert run(["solve", "--config", str(cfg), "--grid", "16", "--out", str(tmp_path)]) == 3
+
+
+def test_unary_minus_datum(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"options": {"problem": "neumann", "datum": "-0.5*cos(x1)"}}))
+    assert run(["solve", "--config", str(cfg), "--grid", "16", "--out", str(tmp_path)]) == 0
+
+
+def _rellich_args(N=16):
+    item = {"family": "lower_triangular_random", "index": 2, "rep": 0}
+    return (1, 2 * np.pi, 0, item, N)
+
+
+def test_rellich_item_factors_once(monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+    row = cli._rellich_item(_rellich_args())
+    assert len(calls) == 1
+    assert np.isfinite(row["forward"]) and np.isfinite(row["inverse"])
+    assert row["graph_residual"] <= 1e-6
+
+
+def test_rellich_item_singular_blocks_report_inf(monkeypatch):
+    # every block singular: all four constants are reported as inf
+    monkeypatch.setattr(boundary, "_min_sv", lambda grid, M, s: 0.0)
+    row = cli._rellich_item(_rellich_args())
+    for key in ("forward", "inverse", "graph_residual", "factorization_mismatch"):
+        assert row[key] == float("inf"), key

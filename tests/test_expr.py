@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfspace.expr import ExprError, evaluate_expr
 from halfspace.grid import GridSpec
@@ -68,3 +70,47 @@ def test_division_by_small_value_rejected(grid):
 
 def test_division(grid):
     assert np.allclose(evaluate_expr("3/2", grid), 1.5)
+
+
+def test_unary_minus(grid):
+    x = grid.points()[0]
+    assert np.allclose(evaluate_expr("-0.5*cos(x1)", grid), -0.5 * np.cos(x))
+    assert np.allclose(evaluate_expr("2*-cos(x1)", grid), -2 * np.cos(x))
+    assert np.allclose(evaluate_expr("-2^2", grid), -4.0)  # '^' binds tighter
+    assert np.allclose(evaluate_expr("--3", grid), 3.0)
+    assert np.allclose(evaluate_expr("1--3", grid), 4.0)
+    assert np.allclose(evaluate_expr("-(1+2)*3", grid), -9.0)
+
+
+def test_dangling_minus_reports_position(grid):
+    with pytest.raises(ExprError) as ei:
+        evaluate_expr("2*-", grid)
+    assert (ei.value.line, ei.value.col) == (1, 4)
+
+
+_LEAVES = st.sampled_from(["x1", "i", "0.5", "2", "3.25", "(x1^2)"])
+
+
+def _extend(sub):
+    # every composite is parenthesized or a call, so "-" + e negates all of e
+    return st.one_of(
+        st.builds("({}+{})".format, sub, sub),
+        st.builds("({}-{})".format, sub, sub),
+        st.builds("({}*{})".format, sub, sub),
+        st.builds("sin({})".format, sub),
+        st.builds("cos({})".format, sub),
+        st.builds("-{}".format, sub),
+    )
+
+
+_EXPRS = st.recursive(_LEAVES, _extend, max_leaves=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_EXPRS)
+def test_negation_property(e):
+    grid = GridSpec(n=1, N=16, L=2 * np.pi)
+    value = evaluate_expr(e, grid)
+    np.testing.assert_array_equal(evaluate_expr("-" + e, grid), -value)
+    np.testing.assert_array_equal(evaluate_expr(f"-({e})", grid), -value)
+    np.testing.assert_array_equal(evaluate_expr("2*-" + e, grid), -2 * value)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from halfspace.operators import (
     OperatorMatrix,
     assemble_S,
     assemble_operators,
+    decompose,
     fractional_power,
     kato_check,
     matrix_sign,
@@ -135,3 +139,27 @@ def test_kato_perturbed_coefficients_bounded(grid):
     A = make_family(grid, "block_diagonal_random", seed=8)
     rep = kato_check(grid, A.d, n_samples=10, seed=8)
     assert 0.1 < rep["min_ratio"] <= rep["max_ratio"] < 10.0
+
+
+def test_decomposition_kept_on_the_operator(grid, monkeypatch):
+    _, (S, calB, T, uT) = ops_for(grid, "lower_triangular_random", seed=9)
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+    first = decompose(uT)
+    assert decompose(uT) is first
+    assert len(calls) == 1
+    # equal entries, new instance: factored afresh
+    twin = OperatorMatrix(grid, uT.matrix.copy())
+    assert decompose(twin) is not first
+    assert len(calls) == 2
+
+
+def test_dropped_operator_is_collected(grid):
+    _, (S, calB, T, uT) = ops_for(grid, "smooth_trig", seed=10)
+    op = OperatorMatrix(grid, uT.matrix.copy())
+    matrix_sign(op)
+    refs = [weakref.ref(op), weakref.ref(op.matrix), weakref.ref(decompose(op))]
+    del op
+    gc.collect()
+    assert all(r() is None for r in refs)

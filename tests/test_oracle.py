@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from halfspace.boundary import sgn_blocks_for_coefficients, gamma_nd
+from halfspace.boundary import build_core, gamma_nd
 from halfspace.coeffs import make_family, mgamma_perturb, stream_gamma
 from halfspace.grid import GridSpec, l2_norm
 from halfspace.oracle import (
@@ -93,13 +93,13 @@ def test_coercivity_within_continuity_bounds(grid):
 
 def test_gamma_nd_comparison_converges(grid):
     A = make_family(grid, "smooth_trig", seed=0, amplitude=0.3)
-    blocks, _ = sgn_blocks_for_coefficients(A)
+    blocks = build_core(A).blocks
     Gs = gamma_nd(blocks, s=-0.5)
     errs = []
     for N, M in ((16, 48), (32, 96)):
         g = GridSpec(n=1, N=N, L=grid.L)
         Ag = make_family(g, "smooth_trig", seed=0, amplitude=0.3)
-        bg, _ = sgn_blocks_for_coefficients(Ag)
+        bg = build_core(Ag).blocks
         Gg = gamma_nd(bg, s=-0.5)
         mesh = StripMesh.graded(g, M)
         rep = gamma_nd_comparison(Ag, mesh, Gg, band=6.0)

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from halfspace.coeffs import hat_transform, make_family
 from halfspace.grid import GridSpec, scalar_to_coeffs
-from halfspace.operators import assemble_operators, weight_vector
+from halfspace.operators import assemble_operators, decompose, fractional_power, weight_vector
 from halfspace.quadnorms import (
     PsiSpec,
     c_psi,
@@ -100,3 +100,24 @@ def test_zero_vector_norms(grid):
     assert quad_norm_S(grid, z, 0.0) == 0.0
     assert quad_norm_adapted(S, z, 0.0) == 0.0
     assert semigroup_norm(uT, z, -0.5) == 0.0
+
+
+def _semigroup_norm_via_abs(uT, p, s, npoints=200):
+    # reference: factor |uT| = sgn(uT) uT itself and apply exp(-t lambda)
+    dec = decompose(fractional_power(uT, 1.0))
+    mags = np.abs(decompose(uT).eigenvalues)
+    ts = np.geomspace(1e-4 / mags.max(), 1e4 / mags.min(), npoints)
+    coeff = dec.vectors_inv @ p
+    vals = [np.linalg.norm(dec.vectors @ (np.exp(-t * dec.eigenvalues) * coeff)) ** 2 for t in ts]
+    return float(np.sqrt(np.trapezoid(ts ** (-2 * s) * np.array(vals), np.log(ts))))
+
+
+def test_semigroup_norm_matches_abs_route():
+    grid = GridSpec(n=1, N=32, L=2 * np.pi)
+    A = make_family(grid, "lower_triangular_random", seed=3)
+    _, _, _, uT = assemble_operators(hat_transform(A))
+    rng = np.random.default_rng(3)
+    p = rng.standard_normal(2 * grid.nmodes) + 1j * rng.standard_normal(2 * grid.nmodes)
+    for s in (-1.0, -0.5, -0.25):
+        ref = _semigroup_norm_via_abs(uT, p, s)
+        assert abs(semigroup_norm(uT, p, s) - ref) <= 1e-10 * ref, s
