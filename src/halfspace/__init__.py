@@ -19,7 +19,9 @@ from .grid import (
     v_adjoint,
     v_apply,
     vcoords_to_field,
+    vcoords_to_fields,
 )
+from .errors import NumericalError
 from .expr import ExprError, evaluate_expr
 from .coeffs import (
     CoefficientField,
@@ -34,6 +36,8 @@ from .coeffs import (
 from .operators import (
     BisectorialityError,
     OperatorMatrix,
+    SubspaceError,
+    UnreliableDecompositionError,
     assemble_operators,
     assemble_S,
     assemble_calB,
@@ -41,6 +45,7 @@ from .operators import (
     kato_check,
     matrix_sign,
     semigroup_apply,
+    spectral_columns,
     spectral_projectors,
 )
 from .boundary import (

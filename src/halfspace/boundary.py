@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import CoefficientField, hat_transform
+from .errors import NumericalError
 from .grid import GridSpec
 from .operators import (
     OperatorMatrix,
@@ -43,7 +44,7 @@ __all__ = [
 DEFAULT_SV_FLOOR = 1e-8
 
 
-class SingularBlockError(RuntimeError):
+class SingularBlockError(NumericalError):
     """A sign block is numerically singular in the requested topology."""
 
 

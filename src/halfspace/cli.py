@@ -6,7 +6,9 @@ byte-stable across runs and worker counts (modulo the timestamp header
 line each report starts with).
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical failure (bisectoriality / conditioning / accretivity).
+3 numerical failure (any NumericalError: bisectoriality, conditioning,
+subspace, singular blocks, accretivity; an accretivity rejection under
+verify is a verification failure).
 """
 
 from __future__ import annotations
@@ -31,17 +33,16 @@ from .boundary import (
 )
 from .coeffs import FAMILY_KINDS, NonAccretiveError, hat_transform, make_family
 from .dump import load_coefficient_spec, write_report, write_strip_field
+from .errors import NumericalError
 from .expr import ExprError, evaluate_expr
 from .grid import GridSpec, remove_mean
 from .operators import (
-    BisectorialityError,
     OperatorMatrix,
     kato_check,
     matrix_sign,
     spectral_projectors,
 )
 from .solvers import (
-    IllPosedError,
     evaluate,
     evaluate_full_gradient,
     solve_dirichlet_l2,
@@ -151,7 +152,8 @@ def _verify_item(args: tuple) -> dict:
     out["hat_involution"] = float(
         np.max(np.abs(hat_transform(core.B).samples - A.samples))
     )
-    sg = matrix_sign(uT)
+    # sgn(uT) from the core's blocks, which copy it; Newton is the independent check
+    sg = OperatorMatrix(grid, core.blocks.reassemble())
     dim = sg.dim
     eye = np.eye(dim)
     out["sgn_involution"] = float(np.linalg.norm(sg.matrix @ sg.matrix - eye, 2))
@@ -439,11 +441,13 @@ def run_norms(config: ExperimentConfig) -> int:
             for m in (1, 2, 3):
                 f += rng.standard_normal() * np.cos(m * 2 * np.pi * x[0] / grid.L)
                 f += rng.standard_normal() * np.sin(m * 2 * np.pi * x[0] / grid.L)
-            handle = solve_neumann_l2(A, f)
+            # one factorization per row, shared by both solves
+            core = build_core(A)
+            handle = solve_neumann_l2(A, f, core=core)
             ts = default_t_grid(grid, 120)
             strip = evaluate(handle, ts[ts < 64 * grid.L])
             nt = nontangential_norm(strip)
-            hd = solve_dirichlet_l2(A, f)
+            hd = solve_dirichlet_l2(A, f, core=core)
             sq = square_function_norm(evaluate_full_gradient(hd, ts))
             rows.append({
                 "id": f"{item['family']}-{item['rep']}",
@@ -525,7 +529,7 @@ def main(argv: list[str] | None = None) -> int:
     except NonAccretiveError as exc:
         print(f"accretivity rejection: {exc}", file=sys.stderr)
         return EXIT_VERIFY if config.subcommand == "verify" else EXIT_NUMERICAL
-    except (BisectorialityError, IllPosedError, SingularBlockError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, ExprError, KeyError) as exc:

@@ -9,10 +9,11 @@ equation into the first-order system and preserves triangular structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .grid import GridSpec, fftn
 
 __all__ = [
@@ -37,8 +38,8 @@ FAMILY_KINDS = (
 )
 
 
-class NonAccretiveError(ValueError):
-    pass
+class NonAccretiveError(NumericalError):
+    """The coefficients (or their compression to H0) are not accretive."""
 
 
 def _classify(samples: np.ndarray) -> str:

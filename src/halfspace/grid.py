@@ -14,7 +14,6 @@ dense matrix of dimension 2*(N^n - 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +30,7 @@ __all__ = [
     "coeffs_to_scalar",
     "field_to_vcoords",
     "vcoords_to_field",
+    "vcoords_to_fields",
     "l2_norm",
     "l2_inner",
 ]
@@ -163,7 +163,10 @@ class BoundaryField:
         )
         self.values.setflags(write=False)
         if self.h0_flag:
-            _validate_h0(self)
+            fh = self.values
+            if self.representation == "physical":
+                fh = fftn(self.grid, fh)
+            _validate_h0(self.grid, fh[None])
 
     def to_physical(self) -> "BoundaryField":
         if self.representation == "physical":
@@ -190,20 +193,21 @@ class BoundaryField:
         return self.values[1:]
 
 
-def _validate_h0(field: BoundaryField, tol: float = 1e-10):
-    g = field.grid
-    fh = field.values if field.representation == "frequency" else fftn(g, field.values)
-    nrm = np.sqrt(np.sum(np.abs(fh) ** 2)) / g.npoints
-    if nrm == 0:
-        return
-    zero = (0,) * g.n
-    for c in range(1 + g.n):
-        if abs(fh[c][zero]) > tol * nrm * g.npoints:
-            raise ValueError("H0 field has nonzero mean component")
+def _validate_h0(g: GridSpec, fh: np.ndarray, tol: float = 1e-10):
+    """H0 membership (zero means, curl-free tangential part) of a batch of
+    fields in frequency representation, shape (batch, 1+n) + shape; an
+    all-zero field passes."""
+    batch = fh.shape[0]
+    nrm = np.sqrt(np.sum(np.abs(fh.reshape(batch, -1)) ** 2, axis=1)) / g.npoints
+    bound = tol * nrm * g.npoints  # (batch,)
+    zero = (slice(None), slice(None)) + (0,) * g.n
+    if np.any((np.abs(fh[zero]) > bound[:, None]) & (nrm[:, None] > 0)):
+        raise ValueError("H0 field has nonzero mean component")
     if g.n == 2:
         xi = g.frequencies()
-        curl = xi[0] * fh[2] - xi[1] * fh[1]
-        if np.max(np.abs(curl)) > tol * nrm * g.npoints * max(1.0, np.max(g.freq_magnitude())):
+        curl = xi[0] * fh[:, 2] - xi[1] * fh[:, 1]
+        peak = np.max(np.abs(curl).reshape(batch, -1), axis=1)
+        if np.any((peak > bound * max(1.0, np.max(g.freq_magnitude()))) & (nrm > 0)):
             raise ValueError("tangential part is not curl-free")
 
 
@@ -321,9 +325,12 @@ def scalar_to_coeffs(grid: GridSpec, f: np.ndarray) -> np.ndarray:
 
 
 def coeffs_to_scalar(grid: GridSpec, c: np.ndarray) -> np.ndarray:
-    fh = np.zeros(grid.npoints, dtype=complex)
-    fh[grid.nonzero_mask().ravel()] = c
-    fh = fh.reshape(grid.shape) / _coeff_scale(grid)
+    """Scalar field of nonzero-mode coefficients c, shape (K,); a batch
+    (K, batch) gives fields of shape (batch,) + grid.shape."""
+    c = np.asarray(c)
+    fh = np.zeros(c.shape[1:] + (grid.npoints,), dtype=complex)
+    fh[..., grid.nonzero_mask().ravel()] = c.T
+    fh = fh.reshape(c.shape[1:] + grid.shape) / _coeff_scale(grid)
     return ifftn(grid, fh)
 
 
@@ -334,11 +341,57 @@ def field_to_vcoords(field: BoundaryField) -> np.ndarray:
     )
 
 
+def _v_symbols(grid: GridSpec) -> np.ndarray:
+    """Per-mode unit symbols i*xi_j/|xi| over the full frequency grid."""
+    xi = grid.frequencies()
+    m = grid.freq_magnitude()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(m > 0, 1.0 / m, 0.0)
+    return 1j * xi * inv
+
+
+def _vcoords_batch_to_fields(grid: GridSpec, P: np.ndarray) -> np.ndarray:
+    """Map a batch of V-coordinate vectors (dim, batch) to physical
+    (1+n)-component fields, shape (batch, 1+n) + grid.shape."""
+    K = grid.nmodes
+    batch = P.shape[1]
+    mask = grid.nonzero_mask().ravel()
+    scale = _coeff_scale(grid)
+    p1 = np.zeros((batch, grid.npoints), dtype=complex)
+    p2 = np.zeros((batch, grid.npoints), dtype=complex)
+    p1[:, mask] = P[:K].T
+    p2[:, mask] = P[K:].T
+    p1 = p1.reshape((batch,) + grid.shape) / scale
+    p2 = p2.reshape((batch,) + grid.shape) / scale
+    sym = _v_symbols(grid)  # (n,) + shape
+    fields_hat = np.empty((batch, 1 + grid.n) + grid.shape, dtype=complex)
+    fields_hat[:, 0] = p1
+    for j in range(grid.n):
+        fields_hat[:, 1 + j] = -sym[j] * p2
+    return ifftn(grid, fields_hat)
+
+
+def vcoords_to_fields(grid: GridSpec, P: np.ndarray) -> np.ndarray:
+    """Physical H0 fields of a batch of V-coordinate vectors, P of shape
+    (2K, batch) -> values of shape (batch, 1+n) + grid.shape.
+
+    The batched form of V: means are removed as v_apply removes them and
+    every field is checked to lie in H0 (zero means, curl-free).
+    """
+    K = grid.nmodes
+    if P.ndim != 2 or P.shape[0] != 2 * K:
+        raise ValueError(f"expected V-coordinate vectors of length {2 * K} as columns")
+    _check_finite(P, "V input")
+    F = _vcoords_batch_to_fields(grid, P)
+    F -= np.mean(F, axis=tuple(range(-grid.n, 0)), keepdims=True)
+    _validate_h0(grid, fftn(grid, F))
+    return F
+
+
 def vcoords_to_field(grid: GridSpec, p: np.ndarray) -> BoundaryField:
+    """One-column case of vcoords_to_fields, as a BoundaryField."""
     K = grid.nmodes
     if p.shape != (2 * K,):
         raise ValueError(f"expected V-coordinate vector of length {2 * K}")
-    pair = np.stack(
-        [coeffs_to_scalar(grid, p[:K]), coeffs_to_scalar(grid, p[K:])]
-    )
-    return v_apply(grid, pair)
+    values = vcoords_to_fields(grid, p[:, None])[0]
+    return BoundaryField(grid, values, representation="physical", h0_flag=True)

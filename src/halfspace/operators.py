@@ -16,19 +16,27 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .coeffs import CoefficientField
-from .grid import GridSpec, fftn, ifftn, _coeff_scale
+from .coeffs import CoefficientField, NonAccretiveError
+from .errors import NumericalError
+from .grid import GridSpec, _coeff_scale, _v_symbols, _vcoords_batch_to_fields, fftn, ifftn
 
 __all__ = [
     "OperatorMatrix",
     "SpectralDecomposition",
     "BisectorialityError",
+    "SubspaceError",
+    "UnreliableDecompositionError",
+    "decompose",
+    "decompose_T_from_uT",
     "assemble_S",
     "assemble_calB",
     "assemble_operators",
     "matrix_sign",
     "spectral_projectors",
+    "log_t_levels",
+    "plus_coefficients",
     "semigroup_apply",
+    "spectral_columns",
     "fractional_power",
     "kato_check",
     "weight_vector",
@@ -39,8 +47,17 @@ MARGIN_FLOOR = 1e-8
 COND_LIMIT = 1e8
 
 
-class BisectorialityError(RuntimeError):
+class BisectorialityError(NumericalError):
     """Spectrum too close to the imaginary axis for the sign calculus."""
+
+
+class SubspaceError(NumericalError):
+    """A vector that must lie in the + spectral subspace has a significant
+    component outside it."""
+
+
+class UnreliableDecompositionError(NumericalError):
+    """The eigendecomposition does not reconstruct its operator."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +110,33 @@ def decompose(op: OperatorMatrix) -> SpectralDecomposition:
     if dec is not None:
         return dec
     lam, W = np.linalg.eig(op.matrix)
-    Winv = np.linalg.inv(W)
+    return _keep_decomposition(op, lam, W, np.linalg.inv(W))
+
+
+def decompose_T_from_uT(T: OperatorMatrix, uT: OperatorMatrix) -> SpectralDecomposition:
+    """Eigendecomposition of T = calB S taken from that of uT = S calB.
+
+    T = S^-1 uT S, so T's eigenvectors are S^-1 W, scaled to unit columns
+    as eig returns them, and their inverse is W^-1 S with the rows scaled
+    back; S = assemble_S(grid) is anti-diagonal, so both cost O(dim^2).
+    The result is checked and kept on T exactly as decompose's own.
+    """
+    dec = T.__dict__.get("_decomposition")
+    if dec is not None:
+        return dec
+    base = decompose(uT)
+    K = T.grid.nmodes
+    w = T.grid.mode_magnitudes()
+    W, Winv = base.vectors, base.vectors_inv
+    Z = np.concatenate([W[K:] / w[:, None], W[:K] / w[:, None]])  # S^-1 W
+    scale = np.linalg.norm(Z, axis=0)
+    Z /= scale
+    Zinv = np.concatenate([Winv[:, K:] * w, Winv[:, :K] * w], axis=1)  # W^-1 S
+    Zinv *= scale[:, None]
+    return _keep_decomposition(T, base.eigenvalues, Z, Zinv)
+
+
+def _keep_decomposition(op, lam, W, Winv) -> SpectralDecomposition:
     cond = float(np.linalg.cond(W))
     margin = float(np.min(np.abs(lam.real)))
     recon = (W * lam) @ Winv
@@ -137,15 +180,6 @@ def weighted_norm(grid: GridSpec, M: np.ndarray, s: float, kind: str = "op") -> 
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
-def _v_symbols(grid: GridSpec):
-    """Per-mode unit symbols i*xi_j/|xi| over the full frequency grid."""
-    xi = grid.frequencies()
-    m = grid.freq_magnitude()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(m > 0, 1.0 / m, 0.0)
-    return 1j * xi * inv
-
-
 def assemble_S(grid: GridSpec) -> OperatorMatrix:
     """The tangential Dirac-type operator in V-coordinates: per-mode block
     [[0, |xi|], [|xi|, 0]]."""
@@ -157,29 +191,9 @@ def assemble_S(grid: GridSpec) -> OperatorMatrix:
     return OperatorMatrix(grid, m)
 
 
-def _vcoords_batch_to_fields(grid: GridSpec, P: np.ndarray) -> np.ndarray:
-    """Map a batch of V-coordinate vectors (dim, batch) to physical
-    (1+n)-component fields, shape (batch, 1+n) + grid.shape."""
-    K = grid.nmodes
-    batch = P.shape[1]
-    mask = grid.nonzero_mask().ravel()
-    scale = _coeff_scale(grid)
-    p1 = np.zeros((batch, grid.npoints), dtype=complex)
-    p2 = np.zeros((batch, grid.npoints), dtype=complex)
-    p1[:, mask] = P[:K].T
-    p2[:, mask] = P[K:].T
-    p1 = p1.reshape((batch,) + grid.shape) / scale
-    p2 = p2.reshape((batch,) + grid.shape) / scale
-    sym = _v_symbols(grid)  # (n,) + shape
-    fields_hat = np.empty((batch, 1 + grid.n) + grid.shape, dtype=complex)
-    fields_hat[:, 0] = p1
-    for j in range(grid.n):
-        fields_hat[:, 1 + j] = -sym[j] * p2
-    return ifftn(grid, fields_hat)
-
-
 def _fields_batch_to_vcoords(grid: GridSpec, F: np.ndarray) -> np.ndarray:
-    """Adjoint of the map above (project onto H0 and return V-coordinates)."""
+    """Adjoint of grid._vcoords_batch_to_fields (project onto H0 and return
+    V-coordinates)."""
     batch = F.shape[0]
     K = grid.nmodes
     mask = grid.nonzero_mask().ravel()
@@ -224,7 +238,7 @@ def assemble_calB(B: CoefficientField, accretivity_floor: float = 1e-10):
     herm = 0.5 * (m + m.conj().T)
     lam_min = float(np.min(np.linalg.eigvalsh(herm)))
     if lam_min < accretivity_floor:
-        raise ValueError(
+        raise NonAccretiveError(
             f"compressed coefficient operator is not accretive on H0 "
             f"(min Hermitian eigenvalue {lam_min:.3e})"
         )
@@ -330,32 +344,76 @@ def spectral_projectors(sgn_op: OperatorMatrix, tol: float = 1e-6):
     )
 
 
+def _decay(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    return np.exp(-t * lam)
+
+
+def spectral_columns(
+    op: OperatorMatrix,
+    ts,
+    x: np.ndarray,
+    f=_decay,
+    plus_subspace: bool = True,
+    reject_tol: float = 1e-6,
+) -> np.ndarray:
+    """Columns f(t_j, op) x for every height t_j in ts, shape (dim, len(ts)).
+
+    W^-1 x is formed once and the whole table F[i, j] = f(t_j, lambda_i)
+    is applied in one product V (F * W^-1 x).  With plus_subspace (the
+    semigroup case) the spectrum must pass the bisectoriality gate, x must
+    lie in the + spectral subspace (SubspaceError otherwise), the table is
+    evaluated on eigenvalues with positive real part only and a t = 0
+    column is an exact copy of x.  Without it, f acts on the whole
+    spectrum (quadratic norms) and x is unrestricted.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if np.any(ts < 0):
+        raise ValueError("semigroup time must be nonnegative")
+    if not plus_subspace:
+        dec = decompose(op)
+        F = f(ts[None, :], dec.eigenvalues[:, None])
+        return dec.vectors @ (F * (dec.vectors_inv @ x)[:, None])
+    dec, pos, coeff = plus_coefficients(op, x, reject_tol)
+    F = f(ts[None, :], dec.eigenvalues[pos, None])
+    out = dec.vectors[:, pos] @ (F * coeff[pos, None])
+    out[:, ts == 0] = x[:, None]
+    return out
+
+
+def plus_coefficients(op: OperatorMatrix, x: np.ndarray, reject_tol: float = 1e-6):
+    """Eigen-coordinates W^-1 x of a vector in the + spectral subspace.
+
+    Applies the bisectoriality gate and raises SubspaceError when the part
+    of x on eigenvalues with negative real part exceeds reject_tol ||x||.
+    Returns (decomposition, mask of the + eigenvalues, W^-1 x).
+    """
+    dec = check_bisectorial(op)
+    coeff = dec.vectors_inv @ x
+    pos = dec.eigenvalues.real >= 0
+    nrm = np.linalg.norm(x)
+    if nrm > 0:
+        defect = np.linalg.norm(dec.vectors[:, ~pos] @ coeff[~pos]) / nrm
+        if defect > reject_tol:
+            raise SubspaceError(
+                f"input has a component outside the + spectral subspace "
+                f"(relative defect {defect:.3e}); the semigroup solution would grow"
+            )
+    return dec, pos, coeff
+
+
 def semigroup_apply(
     op: OperatorMatrix, t: float, x: np.ndarray, reject_tol: float = 1e-6
 ) -> np.ndarray:
-    """e^{-t op} applied to a vector in the + spectral subspace.
+    """e^{-t op} applied to a vector in the + spectral subspace (the
+    one-column case of spectral_columns; t = 0 returns a copy of x)."""
+    return spectral_columns(op, [t], x, reject_tol=reject_tol)[:, 0]
 
-    Computed through the eigendecomposition restricted to eigenvalues with
-    positive real part; components on the decaying-for-the-lower-half-space
-    subspace must be negligible.
-    """
-    if t < 0:
-        raise ValueError("semigroup time must be nonnegative")
-    dec = check_bisectorial(op)
-    coeff = dec.vectors_inv @ x
-    neg = dec.eigenvalues.real < 0
-    neg_part = dec.vectors[:, neg] @ coeff[neg]
-    nrm = np.linalg.norm(x)
-    if nrm > 0 and np.linalg.norm(neg_part) > reject_tol * nrm:
-        raise ValueError(
-            "input has a significant component outside the + spectral "
-            "subspace; the semigroup solution would grow"
-        )
-    if t == 0:
-        return np.array(x, dtype=complex, copy=True)
-    factors = np.zeros(len(dec.eigenvalues), dtype=complex)
-    factors[~neg] = np.exp(-t * dec.eigenvalues[~neg])
-    return dec.vectors @ (factors * coeff)
+
+def log_t_levels(op: OperatorMatrix, npoints: int, lo: float = 1e-4) -> np.ndarray:
+    """Log-spaced heights from lo / max|lambda| to 1e4 / min|lambda|, which
+    cover the decay of every eigenmode of op."""
+    mags = np.abs(decompose(op).eigenvalues)
+    return np.geomspace(lo / float(np.max(mags)), 1e4 / float(np.min(mags)), npoints)
 
 
 def fractional_power(op: OperatorMatrix, s: float) -> OperatorMatrix:
@@ -364,23 +422,11 @@ def fractional_power(op: OperatorMatrix, s: float) -> OperatorMatrix:
         raise ValueError("fractional power exponent outside [-1, 1]")
     dec = decompose(op)
     if not dec.reliable:
-        raise ValueError("unreliable eigendecomposition; refusing fractional power")
+        raise UnreliableDecompositionError(
+            "unreliable eigendecomposition; refusing fractional power"
+        )
     m = dec.function_matrix(lambda lam: np.abs(lam) ** s + 0j)
     return OperatorMatrix(op.grid, m)
-
-
-def _scalar_multiplication_matrix(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
-    """Dense matrix of pointwise multiplication on mean-zero scalars in
-    coefficient coordinates, shape K x K."""
-    K = grid.nmodes
-    mask = grid.nonzero_mask().ravel()
-    scale = _coeff_scale(grid)
-    E = np.zeros((K, grid.npoints), dtype=complex)
-    E[np.arange(K), np.where(mask)[0]] = 1.0
-    fields = ifftn(grid, E.reshape((K,) + grid.shape) / scale)
-    mult = samples * fields
-    Fh = fftn(grid, mult).reshape(K, -1)
-    return (Fh[:, mask] * scale).T
 
 
 def riesz_compress_matrix(grid: GridSpec, d_samples: np.ndarray) -> np.ndarray:

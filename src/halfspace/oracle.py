@@ -30,9 +30,8 @@ from .grid import (
     remove_mean,
     scalar_to_coeffs,
     sobolev_norm,
-    vcoords_to_field,
 )
-from .operators import OperatorMatrix, decompose
+from .solvers import _full_gradient, _gradient_fields
 
 __all__ = [
     "StripMesh",
@@ -611,33 +610,13 @@ def semigroup_strip_gradient(handle, mesh: StripMesh) -> np.ndarray:
     """Full gradient (d_t u, grad_x u) of a semigroup solution at the
     oracle's cell centers (t midpoints, x midpoints), via grad_{t,x} u =
     [(B F)_perp; F_par] and spectral evaluation at shifted points."""
-    from .solvers import SolutionHandle  # noqa: F401  (type reference)
-
     grid = handle.grid
-    n = grid.n
-    B = hat_transform(handle.A)
     t_mids = 0.5 * (mesh.t_nodes[:-1] + mesh.t_nodes[1:])
-    dec = decompose(handle.uT)
-    p0 = handle.trace
-    if handle.representation == "l2_dirichlet":
-        from .solvers import _dirichlet_gradient_trace
-
-        p0 = _dirichlet_gradient_trace(handle)
-    coeff = dec.vectors_inv @ p0
-    pos = dec.eigenvalues.real > 0
-    out = np.empty((len(t_mids),) + grid.shape + (1 + n,), dtype=complex)
-    fac = np.zeros(len(dec.eigenvalues), dtype=complex)
-    shift = tuple(grid.h / 2.0 for _ in range(n))
-    for i, t in enumerate(t_mids):
-        fac[pos] = np.exp(-t * dec.eigenvalues[pos])
-        p = dec.vectors @ (fac * coeff)
-        F = vcoords_to_field(grid, p).values  # (1+n,) + shape
-        gphys = np.empty_like(F)
-        gphys[0] = np.einsum("...q,q...->...", B.samples[..., 0, :], F)
-        gphys[1:] = F[1:]
-        shifted = _shift_samples(grid, np.moveaxis(gphys, 0, -1), shift)
-        out[i] = shifted
-    return out
+    g = _full_gradient(hat_transform(handle.A), _gradient_fields(handle, t_mids))
+    shift = tuple(grid.h / 2.0 for _ in range(grid.n))
+    # every level shifted in one FFT: (nt, 1+n) + shape -> shape + (nt, 1+n)
+    shifted = _shift_samples(grid, np.moveaxis(g, (0, 1), (-2, -1)), shift)
+    return np.moveaxis(shifted, -2, 0)  # (nt,) + shape + (1+n,)
 
 
 def strip_gradient_error(handle, sol: OracleSolution, t_cut: float | None = None) -> float:

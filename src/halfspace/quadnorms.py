@@ -14,7 +14,14 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .grid import GridSpec
-from .operators import OperatorMatrix, decompose, weight_vector
+from .operators import (
+    OperatorMatrix,
+    UnreliableDecompositionError,
+    decompose,
+    log_t_levels,
+    spectral_columns,
+    weight_vector,
+)
 
 __all__ = [
     "PsiSpec",
@@ -40,7 +47,8 @@ class PsiSpec:
         if self.k <= max(s, 0.0):
             raise ValueError(f"psi order k={self.k} requires k > max(s, 0), got s={s}")
 
-    def eigenvalue_function(self, t: float):
+    def eigenvalue_function(self, t):
+        """lam -> psi(t lam); t may be an array broadcast against lam."""
         def f(lam: np.ndarray) -> np.ndarray:
             sgn = np.sign(lam.real)
             z = t * lam
@@ -78,14 +86,6 @@ def quad_norm_S(
     return c_psi(psi, s) * float(np.linalg.norm(w * p))
 
 
-def _log_t_grid(op: OperatorMatrix, npoints: int) -> np.ndarray:
-    dec = decompose(op)
-    mags = np.abs(dec.eigenvalues)
-    tmin = 1e-4 / float(np.max(mags))
-    tmax = 1e4 / float(np.min(mags))
-    return np.geomspace(tmin, tmax, npoints)
-
-
 def quad_norm_adapted(
     op: OperatorMatrix,
     p: np.ndarray,
@@ -99,16 +99,11 @@ def quad_norm_adapted(
     psi.check_exponent(s)
     if not np.any(p):
         return 0.0
-    dec = decompose(op)
-    coeff = dec.vectors_inv @ p
-    ts = _log_t_grid(op, npoints)
-    vals = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        f = psi.eigenvalue_function(t)
-        vals[i] = np.linalg.norm(dec.vectors @ (f(dec.eigenvalues) * coeff)) ** 2
-    integrand = ts ** (-2 * s) * vals  # already includes the dt/t measure below
-    total = np.trapezoid(integrand, np.log(ts))
-    return float(np.sqrt(total))
+    ts = log_t_levels(op, npoints)
+    cols = spectral_columns(
+        op, ts, p, lambda t, lam: psi.eigenvalue_function(t)(lam), plus_subspace=False
+    )
+    return _log_t_quadrature(ts, s, cols)
 
 
 def semigroup_norm(
@@ -121,15 +116,18 @@ def semigroup_norm(
         return 0.0
     # exp(-t |uT|) through uT's own eigenbasis: |uT| shares it, with
     # eigenvalues |lambda|
-    dec = decompose(uT)
-    if not dec.reliable:
-        raise ValueError("unreliable eigendecomposition; refusing the semigroup norm")
-    mags = np.abs(dec.eigenvalues)
-    coeff = dec.vectors_inv @ p
-    ts = _log_t_grid(uT, npoints)
-    vals = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        vals[i] = np.linalg.norm(dec.vectors @ (np.exp(-t * mags) * coeff)) ** 2
-    integrand = ts ** (-2 * s) * vals
-    total = np.trapezoid(integrand, np.log(ts))
-    return float(np.sqrt(total))
+    if not decompose(uT).reliable:
+        raise UnreliableDecompositionError(
+            "unreliable eigendecomposition; refusing the semigroup norm"
+        )
+    ts = log_t_levels(uT, npoints)
+    cols = spectral_columns(
+        uT, ts, p, lambda t, lam: np.exp(-t * np.abs(lam)), plus_subspace=False
+    )
+    return _log_t_quadrature(ts, s, cols)
+
+
+def _log_t_quadrature(ts: np.ndarray, s: float, cols: np.ndarray) -> float:
+    """(int t^(-2s) ||col(t)||^2 dt/t)^(1/2), trapezoid in log t."""
+    vals = np.sum(np.abs(cols) ** 2, axis=0)
+    return float(np.sqrt(np.trapezoid(ts ** (-2 * s) * vals, np.log(ts))))

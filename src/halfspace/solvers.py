@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import SgnBlocks, build_core, gamma_dn, gamma_nd
+from .boundary import SgnBlocks, SpectralCore, build_core, gamma_dn, gamma_nd
 from .coeffs import CoefficientField, hat_transform
+from .errors import NumericalError
 from .grid import (
     BoundaryField,
     GridSpec,
@@ -25,14 +26,17 @@ from .grid import (
     l2_norm,
     riesz_adjoint,
     scalar_to_coeffs,
-    vcoords_to_field,
+    vcoords_to_fields,
 )
 from .operators import (
     OperatorMatrix,
     assemble_operators,
-    decompose,
+    decompose_T_from_uT,
+    log_t_levels,
     mode_weights,
+    plus_coefficients,
     semigroup_apply,
+    spectral_columns,
     weight_vector,
 )
 
@@ -51,13 +55,12 @@ __all__ = [
 
 _MEAN_TOL = 1e-10
 _TRACE_TOL = 1e-8
-_SUBSPACE_TOL = 1e-6
 
 _LOWER = ("lower_triangular", "block_diagonal")
 _UPPER = ("upper_triangular", "block_diagonal")
 
 
-class IllPosedError(RuntimeError):
+class IllPosedError(NumericalError):
     """The restricted linear system for the boundary trace is singular."""
 
 
@@ -91,7 +94,7 @@ class SolutionHandle:
         object.__setattr__(self, "trace", tr)
         tr.setflags(write=False)
         op = self.T if self.representation == "l2_dirichlet" else self.uT
-        _check_plus_subspace(op, tr)
+        plus_coefficients(op, tr)
 
     @property
     def grid(self) -> GridSpec:
@@ -135,21 +138,6 @@ class StripField:
                 raise ValueError("potential values missing or mis-shaped")
             if not np.all(np.isfinite(self.u)):
                 raise ValueError("non-finite potential values")
-
-
-def _check_plus_subspace(op: OperatorMatrix, x: np.ndarray, tol: float = _SUBSPACE_TOL):
-    nrm = np.linalg.norm(x)
-    if nrm == 0:
-        return
-    dec = decompose(op)
-    coeff = dec.vectors_inv @ x
-    neg = dec.eigenvalues.real < 0
-    defect = np.linalg.norm(dec.vectors[:, neg] @ coeff[neg]) / nrm
-    if defect > tol:
-        raise ValueError(
-            f"graph vector lies outside the + spectral subspace "
-            f"(relative defect {defect:.3e})"
-        )
 
 
 def _require_mean_zero(grid: GridSpec, f: np.ndarray, what: str):
@@ -198,12 +186,16 @@ def _triangularity_gate(A: CoefficientField, allowed, force: bool, problem: str)
 
 
 def solve_neumann_l2(
-    A: CoefficientField, f: np.ndarray, force: bool = False
+    A: CoefficientField,
+    f: np.ndarray,
+    force: bool = False,
+    core: SpectralCore | None = None,
 ) -> SolutionHandle:
     """Neumann problem with L2 datum f = conormal derivative at t = 0.
 
     H0 = [f; Gamma_ND f] in V-coordinates; the gradient on the strip is
-    exp(-t uT) H0.
+    exp(-t uT) H0.  core, when given, must be build_core(A); solves of one
+    field then share its factorization.
     """
     grid = A.grid
     f = np.ascontiguousarray(f, dtype=complex)
@@ -212,7 +204,7 @@ def solve_neumann_l2(
     _require_mean_zero(grid, f, "Neumann datum")
     exploratory = _triangularity_gate(A, _LOWER, force, "Neumann")
 
-    core = build_core(A)
+    core = core or build_core(A)
     G = gamma_nd(core.blocks, s=0.0)
     fc = scalar_to_coeffs(grid, f)
     H0 = np.concatenate([fc, G @ fc])
@@ -260,12 +252,15 @@ def solve_regularity_l2(
     return SolutionHandle("l2_regularity", A, H0, core.uT, core.T, core.calB, 0.0, diag)
 
 
-def solve_dirichlet_l2(A: CoefficientField, u0: np.ndarray) -> SolutionHandle:
+def solve_dirichlet_l2(
+    A: CoefficientField, u0: np.ndarray, core: SpectralCore | None = None
+) -> SolutionHandle:
     """Dirichlet problem with L2 datum u0 at t = 0.
 
     Finds H0~ in the + spectral subspace of T whose perpendicular part is
     -(u0 - mean) by least squares over a basis of that subspace; the
-    potential is u = -(exp(-t T) H0~)_perp + mean(u0).
+    potential is u = -(exp(-t T) H0~)_perp + mean(u0).  T's eigenbasis is
+    taken from uT's; core, when given, must be build_core(A).
     """
     grid = A.grid
     u0 = np.ascontiguousarray(u0, dtype=complex)
@@ -273,12 +268,12 @@ def solve_dirichlet_l2(A: CoefficientField, u0: np.ndarray) -> SolutionHandle:
         raise ValueError("Dirichlet datum must be a scalar grid field")
     _triangularity_gate(A, _LOWER, force=False, problem="Dirichlet")
 
-    core = build_core(A)
+    core = core or build_core(A)
     c = complex(np.mean(u0))
     target = -scalar_to_coeffs(grid, u0 - c)
 
     K = grid.nmodes
-    dec = decompose(core.T)
+    dec = decompose_T_from_uT(core.T, core.uT)
     pos = dec.eigenvalues.real > 0
     Z = dec.vectors[:, pos]  # basis of the + subspace of T
     Ztop = Z[:K]
@@ -318,19 +313,10 @@ def _square_function(
     """
     if not np.any(p0):
         return 0.0
-    dec = decompose(uT)
-    mags = np.abs(dec.eigenvalues)
-    ts = np.geomspace(1e-4 / mags.max(), 1e4 / mags.min(), npoints)
+    ts = log_t_levels(uT, npoints)
     K = uT.grid.nmodes
-    coeff = dec.vectors_inv @ p0
-    pos = dec.eigenvalues.real > 0
-    vals = np.empty(len(ts))
-    fac = np.zeros(len(dec.eigenvalues), dtype=complex)
-    for i, t in enumerate(ts):
-        fac[pos] = np.exp(-t * dec.eigenvalues[pos])
-        p = dec.vectors @ (fac * coeff)
-        g = np.concatenate([(calB.matrix @ p)[:K], p[K:]])
-        vals[i] = np.linalg.norm(g) ** 2
+    P = spectral_columns(uT, ts, p0)
+    vals = np.sum(np.abs(calB.matrix[:K] @ P) ** 2 + np.abs(P[K:]) ** 2, axis=0)
     return float(np.sqrt(np.trapezoid(ts**2 * vals, np.log(ts))))
 
 
@@ -381,29 +367,20 @@ def _strip_energy(uT: OperatorMatrix, H0: np.ndarray, npoints: int = 400) -> flo
     """(Integral of ||exp(-t uT) H0||^2 dt)^(1/2) by log-t quadrature."""
     if not np.any(H0):
         return 0.0
-    dec = decompose(uT)
-    mags = np.abs(dec.eigenvalues)
-    ts = np.geomspace(1e-5 / mags.max(), 1e4 / mags.min(), npoints)
-    coeff = dec.vectors_inv @ H0
-    pos = dec.eigenvalues.real > 0
-    vals = np.empty(len(ts))
-    fac = np.zeros(len(dec.eigenvalues), dtype=complex)
-    for i, t in enumerate(ts):
-        fac[pos] = np.exp(-t * dec.eigenvalues[pos])
-        vals[i] = np.linalg.norm(dec.vectors @ (fac * coeff)) ** 2
+    ts = log_t_levels(uT, npoints, lo=1e-5)
+    vals = np.sum(np.abs(spectral_columns(uT, ts, H0)) ** 2, axis=0)
     return float(np.sqrt(np.trapezoid(ts * vals, np.log(ts))))
 
 
 def gradient_vcoords(handle: SolutionHandle, t: float) -> np.ndarray:
     """V-coordinates of the conormal gradient at height t."""
-    if handle.representation == "l2_dirichlet":
-        p0 = _dirichlet_gradient_trace(handle)
-    else:
-        p0 = handle.trace
-    return semigroup_apply(handle.uT, t, p0)
+    return semigroup_apply(handle.uT, t, _gradient_trace(handle))
 
 
-def _dirichlet_gradient_trace(handle: SolutionHandle) -> np.ndarray:
+def _gradient_trace(handle: SolutionHandle) -> np.ndarray:
+    """V-coordinates of the conormal gradient at t = 0."""
+    if handle.representation != "l2_dirichlet":
+        return handle.trace
     # grad_A u = exp(-t uT) S H0~ when u = -(exp(-t T) H0~)_perp + c
     grid = handle.grid
     w = grid.mode_magnitudes()
@@ -414,54 +391,46 @@ def _dirichlet_gradient_trace(handle: SolutionHandle) -> np.ndarray:
     return p
 
 
-def evaluate(handle: SolutionHandle, t_grid) -> StripField:
-    """Sample the solution on the given heights (pure, deterministic)."""
-    grid = handle.grid
+def _strip_levels(t_grid) -> np.ndarray:
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if np.any(ts < 0) or np.any(np.diff(ts) <= 0):
         raise ValueError("t_grid must be nonnegative, sorted, distinct")
-    K = grid.nmodes
-    nt = len(ts)
+    return ts
 
-    want_u = handle.representation == "l2_dirichlet"
-    grad = np.empty((nt, 1 + grid.n) + grid.shape, dtype=complex)
-    u = np.empty((nt,) + grid.shape, dtype=complex) if want_u else None
 
-    p0 = (
-        _dirichlet_gradient_trace(handle)
-        if handle.representation == "l2_dirichlet"
-        else handle.trace
-    )
-    for i, t in enumerate(ts):
-        p = semigroup_apply(handle.uT, t, p0)
-        grad[i] = vcoords_to_field(grid, p).values
-        if want_u:
-            q = semigroup_apply(handle.T, t, handle.trace)
-            u[i] = -coeffs_to_scalar(grid, q[:K]) + handle.gauge_c
-    kind = "both" if want_u else "grad"
-    return StripField(grid, ts, kind, grad=grad, u=u)
+def _gradient_fields(handle: SolutionHandle, ts: np.ndarray) -> np.ndarray:
+    """Conormal gradient fields at the heights ts, (nt, 1+n) + grid.shape."""
+    P = spectral_columns(handle.uT, ts, _gradient_trace(handle))
+    return vcoords_to_fields(handle.grid, P)
+
+
+def _full_gradient(B: CoefficientField, F: np.ndarray) -> np.ndarray:
+    """grad_{t,x} u = [(B F)_perp; F_par] for conormal gradient fields F of
+    shape (nt, 1+n) + grid.shape, with B = hat(A)."""
+    out = F.copy()
+    out[:, 0] = np.einsum("...q,tq...->t...", B.samples[..., 0, :], F)
+    return out
+
+
+def evaluate(handle: SolutionHandle, t_grid) -> StripField:
+    """Sample the solution on the given heights (pure, deterministic)."""
+    grid = handle.grid
+    ts = _strip_levels(t_grid)
+    grad = _gradient_fields(handle, ts)
+    if handle.representation != "l2_dirichlet":
+        return StripField(grid, ts, "grad", grad=grad)
+    Q = spectral_columns(handle.T, ts, handle.trace)
+    u = -coeffs_to_scalar(grid, Q[: grid.nmodes]) + handle.gauge_c
+    return StripField(grid, ts, "both", grad=grad, u=u)
 
 
 def evaluate_full_gradient(handle: SolutionHandle, t_grid) -> StripField:
     """Sample the full gradient grad_{t,x} u = [(B F)_perp; F_par] on the
     given heights, where F is the conormal gradient and B = hat(A)."""
-    grid = handle.grid
-    ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if np.any(ts < 0) or np.any(np.diff(ts) <= 0):
-        raise ValueError("t_grid must be nonnegative, sorted, distinct")
-    B = hat_transform(handle.A)
-    p0 = (
-        _dirichlet_gradient_trace(handle)
-        if handle.representation == "l2_dirichlet"
-        else handle.trace
-    )
-    out = np.empty((len(ts), 1 + grid.n) + grid.shape, dtype=complex)
-    for i, t in enumerate(ts):
-        p = semigroup_apply(handle.uT, t, p0)
-        F = vcoords_to_field(grid, p).values
-        out[i, 0] = np.einsum("...q,q...->...", B.samples[..., 0, :], F)
-        out[i, 1:] = F[1:]
-    return StripField(grid, ts, "grad", grad=out, content="grad_txu")
+    ts = _strip_levels(t_grid)
+    F = _gradient_fields(handle, ts)
+    out = _full_gradient(hat_transform(handle.A), F)
+    return StripField(handle.grid, ts, "grad", grad=out, content="grad_txu")
 
 
 def residual_check(field: StripField, A: CoefficientField) -> dict:

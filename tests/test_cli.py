@@ -5,6 +5,8 @@ import pytest
 
 from halfspace import boundary, cli
 from halfspace.cli import ExperimentConfig, build_config, item_seed, main
+from halfspace.coeffs import NonAccretiveError
+from halfspace.operators import SubspaceError
 
 
 def run(args):
@@ -163,3 +165,33 @@ def test_rellich_item_singular_blocks_report_inf(monkeypatch):
     row = cli._rellich_item(_rellich_args())
     for key in ("forward", "inverse", "graph_residual", "factorization_mismatch"):
         assert row[key] == float("inf"), key
+
+
+def test_norms_factors_once_per_row(tmp_path, monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"options": {"per_family": 1, "N_list": [16, 32]}}))
+    assert run(["norms", "--config", str(cfg), "--format", "json", "--out", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "norms_report.json").read_text().split("\n", 1)[1])["rows"]
+    assert len(rows) == 6
+    assert len(calls) == len(rows)
+
+
+def test_numerical_error_exit_code(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise SubspaceError("outside the + spectral subspace")
+
+    monkeypatch.setattr(cli, "solve_neumann_l2", refuse)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"options": {"problem": "neumann", "datum": "cos(x1)"}}))
+    assert run(["solve", "--config", str(cfg), "--grid", "16", "--out", str(tmp_path)]) == 3
+
+    # an accretivity rejection is numerical too, but a verification failure under verify
+    def non_accretive(*args, **kwargs):
+        raise NonAccretiveError("not accretive")
+
+    monkeypatch.setattr(cli, "make_family", non_accretive)
+    assert run(["verify", "--grid", "8", "--out", str(tmp_path)]) == 1
+    assert run(["norms", "--grid", "8", "--out", str(tmp_path)]) == 3

@@ -110,7 +110,10 @@ _EXPRS = st.recursive(_LEAVES, _extend, max_leaves=8)
 @given(_EXPRS)
 def test_negation_property(e):
     grid = GridSpec(n=1, N=16, L=2 * np.pi)
-    value = evaluate_expr(e, grid)
-    np.testing.assert_array_equal(evaluate_expr("-" + e, grid), -value)
-    np.testing.assert_array_equal(evaluate_expr(f"-({e})", grid), -value)
-    np.testing.assert_array_equal(evaluate_expr("2*-" + e, grid), -2 * value)
+    # generated expressions such as sin(sin(i*x1^2)) overflow to inf/nan;
+    # negation is exact for those values too
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = evaluate_expr(e, grid)
+        np.testing.assert_array_equal(evaluate_expr("-" + e, grid), -value)
+        np.testing.assert_array_equal(evaluate_expr(f"-({e})", grid), -value)
+        np.testing.assert_array_equal(evaluate_expr("2*-" + e, grid), -2 * value)

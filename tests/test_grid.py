@@ -20,6 +20,7 @@ from halfspace.grid import (
     v_adjoint,
     v_apply,
     vcoords_to_field,
+    vcoords_to_fields,
 )
 
 
@@ -120,6 +121,27 @@ def test_vcoords_round_trip(n, N):
     # Euclidean V-coordinates == L2 norm of the field
     nrm2 = sum(l2_norm(g, F.values[j]) ** 2 for j in range(1 + n))
     assert np.isclose(np.linalg.norm(p), np.sqrt(nrm2), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n,N", [(1, 32), (2, 8)])
+def test_batched_vcoords_match_single_columns(n, N):
+    g = GridSpec(n=n, N=N, L=2 * np.pi)
+    K = g.nmodes
+    rng = np.random.default_rng(9)
+    P = rng.standard_normal((2 * K, 5)) + 1j * rng.standard_normal((2 * K, 5))
+    P[:, 3] *= 1e-170  # squares underflow: still a valid (tiny) H0 field
+    P[:, 4] = 0.0
+    F = vcoords_to_fields(g, P)
+    assert F.shape == (5, 1 + n) + g.shape
+    for j in range(5):
+        one = vcoords_to_field(g, P[:, j]).values
+        # the unbatched route: two scalar fields through V
+        pair = np.stack([coeffs_to_scalar(g, P[:K, j]), coeffs_to_scalar(g, P[K:, j])])
+        via_v = v_apply(g, pair).values
+        scale = max(np.max(np.abs(via_v)), 1e-300)
+        assert np.max(np.abs(F[j] - one)) <= 1e-13 * scale
+        assert np.max(np.abs(F[j] - via_v)) <= 1e-13 * scale
+    assert not np.any(F[4])
 
 
 def test_sobolev_norm_single_mode():

@@ -4,21 +4,28 @@ import weakref
 import numpy as np
 import pytest
 
+from halfspace.boundary import build_core
 from halfspace.coeffs import hat_transform, make_family
+from halfspace.errors import NumericalError
 from halfspace.grid import GridSpec, scalar_to_coeffs
 from halfspace.operators import (
     BisectorialityError,
     OperatorMatrix,
+    SubspaceError,
     assemble_S,
     assemble_operators,
     decompose,
+    decompose_T_from_uT,
     fractional_power,
     kato_check,
     matrix_sign,
     semigroup_apply,
+    spectral_columns,
     spectral_projectors,
     weighted_norm,
 )
+from halfspace.quadnorms import PsiSpec
+from halfspace.solvers import solve_dirichlet_l2
 
 
 @pytest.fixture
@@ -95,7 +102,7 @@ def test_semigroup_rejects_wrong_subspace(grid):
     _, Pm = spectral_projectors(sg)
     rng = np.random.default_rng(6)
     x = Pm.matrix @ (rng.standard_normal(uT.dim) + 1j * rng.standard_normal(uT.dim))
-    with pytest.raises(ValueError):
+    with pytest.raises(SubspaceError):
         semigroup_apply(uT, 1.0, x)
 
 
@@ -163,3 +170,70 @@ def test_dropped_operator_is_collected(grid):
     del op
     gc.collect()
     assert all(r() is None for r in refs)
+
+
+def test_spectral_columns_match_per_t_semigroup_and_psi(grid):
+    _, (S, calB, T, uT) = ops_for(grid, "lower_triangular_random", seed=11)
+    Pp, _ = spectral_projectors(matrix_sign(uT))
+    rng = np.random.default_rng(11)
+    x = Pp.matrix @ (rng.standard_normal(uT.dim) + 1j * rng.standard_normal(uT.dim))
+    ts = np.concatenate([[0.0], np.geomspace(1e-3, 1e2, 40)])
+    cols = spectral_columns(uT, ts, x)
+    assert np.array_equal(cols[:, 0], x)  # t = 0 is an exact copy
+    dec = decompose(uT)
+    pos = dec.eigenvalues.real > 0
+    for j, t in enumerate(ts):
+        ref = semigroup_apply(uT, t, x)
+        assert np.linalg.norm(cols[:, j] - ref) <= 1e-12 * np.linalg.norm(ref), t
+        # the per-t product through the full eigenbasis
+        fac = np.where(pos, np.exp(-t * np.where(pos, dec.eigenvalues, 0)), 0)
+        ref = dec.vectors @ (fac * (dec.vectors_inv @ x))
+        assert np.linalg.norm(cols[:, j] - ref) <= 1e-12 * np.linalg.norm(ref), t
+    # whole-spectrum functions: psi(t uT) p column by column
+    p = rng.standard_normal(uT.dim) + 1j * rng.standard_normal(uT.dim)
+    psi = PsiSpec(k=2)
+    cols = spectral_columns(
+        uT, ts[1:], p, lambda t, lam: psi.eigenvalue_function(t)(lam), plus_subspace=False
+    )
+    for j, t in enumerate(ts[1:]):
+        ref = dec.vectors @ (psi.eigenvalue_function(t)(dec.eigenvalues) * (dec.vectors_inv @ p))
+        assert np.linalg.norm(cols[:, j] - ref) <= 1e-12 * np.linalg.norm(ref), t
+
+
+def test_spectral_columns_reject_minus_component(grid):
+    _, (S, calB, T, uT) = ops_for(grid, "lower_triangular_random", seed=12)
+    Pp, Pm = spectral_projectors(matrix_sign(uT))
+    rng = np.random.default_rng(12)
+    u = rng.standard_normal(uT.dim) + 1j * rng.standard_normal(uT.dim)
+    x = Pp.matrix @ u + 1e-3 * (Pm.matrix @ u)
+    with pytest.raises(SubspaceError):
+        spectral_columns(uT, [0.5, 1.0], x)
+    with pytest.raises(NumericalError):  # the CLI maps this base to exit 3
+        spectral_columns(uT, [0.0], x)
+
+
+def _dirichlet_reference(T, target):
+    # the restricted trace solve through eig(T) itself
+    K = T.grid.nmodes
+    lam, W = np.linalg.eig(T.matrix)
+    Z = W[:, lam.real > 0]
+    sv = np.linalg.svd(Z[:K], compute_uv=False)
+    y, *_ = np.linalg.lstsq(Z[:K], target, rcond=None)
+    return Z @ y, float(sv[0] / sv[-1])
+
+
+@pytest.mark.parametrize("N", [32, 64])
+def test_T_decomposition_from_uT_matches_eig(N):
+    grid = GridSpec(n=1, N=N, L=2 * np.pi)
+    A = make_family(grid, "lower_triangular_random", seed=13)
+    core = build_core(A)
+    dec = decompose_T_from_uT(core.T, core.uT)
+    assert decompose(core.T) is dec  # kept on T: no eig of T afterwards
+    ref = decompose(OperatorMatrix(grid, core.T.matrix.copy()))
+    assert dec.reliable == ref.reliable
+    assert np.allclose(np.linalg.norm(dec.vectors, axis=0), 1.0, atol=1e-14)
+    u0 = np.cos(grid.points()[0]) + 0.3 * np.sin(3 * grid.points()[0])
+    hd = solve_dirichlet_l2(A, u0, core=core)
+    H0t, cond = _dirichlet_reference(core.T, -scalar_to_coeffs(grid, u0 - np.mean(u0)))
+    assert np.linalg.norm(hd.trace - H0t) <= 1e-10 * np.linalg.norm(H0t)
+    assert abs(hd.diagnostics["restricted_cond"] - cond) <= 1e-10 * cond
