@@ -35,6 +35,7 @@ from .coeffs import (
 )
 from .operators import (
     BisectorialityError,
+    NewtonConvergenceError,
     OperatorMatrix,
     SubspaceError,
     UnreliableDecompositionError,

@@ -74,8 +74,10 @@ def sgn_blocks(uT: OperatorMatrix, method: str = "eigen") -> SgnBlocks:
 @dataclass(frozen=True)
 class SpectralCore:
     """Everything built from one coefficient field A: B = hat(A), S, calB,
-    T = calB S, uT = S calB and the blocks of sgn(uT).  The factorization
-    behind the blocks stays on uT, so later spectral maps of uT reuse it."""
+    T = calB S, uT = S calB and the blocks of sgn(uT).  On the eigen route
+    the factorization behind the blocks stays on uT, so later spectral maps
+    of uT reuse it; calB.margin_bound is the accretivity of calB and
+    uT.margin_bound the certified spectral margin of uT."""
 
     B: CoefficientField
     S: OperatorMatrix
@@ -86,7 +88,13 @@ class SpectralCore:
 
 
 def build_core(A: CoefficientField, method: str = "eigen") -> SpectralCore:
-    """Assemble the first-order operators for A and the blocks of sgn(uT)."""
+    """Assemble the first-order operators for A and the blocks of sgn(uT).
+
+    method="newton" suits callers that need only the sign blocks: it makes
+    no eigendecomposition.  Callers that go on to semigroups, fractional
+    powers or quadratic norms of uT keep the default, whose eigendecomposition
+    those maps reuse.
+    """
     B = hat_transform(A)
     S, calB, T, uT = assemble_operators(B)
     return SpectralCore(B, S, calB, T, uT, sgn_blocks(uT, method=method))
@@ -253,6 +261,6 @@ def rellich_from_blocks(blocks: SgnBlocks, floor: float = DEFAULT_SV_FLOOR):
 def rellich_constant(A: CoefficientField, floor: float = DEFAULT_SV_FLOOR) -> dict:
     """Rellich constants of A (see rellich_from_blocks) with its block class
     and grid size."""
-    forward, inverse, _ = rellich_from_blocks(build_core(A).blocks, floor)
+    forward, inverse, _ = rellich_from_blocks(build_core(A, method="newton").blocks, floor)
     return {"block_class": A.block_class, "N": A.grid.N,
             "forward": forward, "inverse": inverse}

@@ -7,8 +7,8 @@ line each report starts with).
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numerical failure (any NumericalError: bisectoriality, conditioning,
-subspace, singular blocks, accretivity; an accretivity rejection under
-verify is a verification failure).
+Newton non-convergence, subspace, singular blocks, accretivity; an
+accretivity rejection under verify is a verification failure).
 """
 
 from __future__ import annotations
@@ -352,7 +352,7 @@ def _rellich_item(args: tuple) -> dict:
     seed = item_seed(master, item["index"])
     A = make_family(grid, item["family"], seed=seed)
     row = {"id": f"{item['family']}-{item['rep']}", "block_class": A.block_class, "N": N}
-    blocks = build_core(A).blocks
+    blocks = build_core(A, method="newton").blocks
     row["forward"], row["inverse"], G = rellich_from_blocks(blocks)
     _, Pm = spectral_projectors(OperatorMatrix(grid, blocks.reassemble()))
     K = grid.nmodes
@@ -403,7 +403,7 @@ def run_convergence(config: ExperimentConfig) -> int:
         grid = GridSpec(n=config.n, N=int(N), L=config.L)
         A = make_family(grid, "smooth_trig", seed=item_seed(config.seed, 0),
                         amplitude=amplitude)
-        Gs = gamma_nd(build_core(A).blocks, s=-0.5)
+        Gs = gamma_nd(build_core(A, method="newton").blocks, s=-0.5)
         mesh = StripMesh.graded(grid, int(M), T_max=8 * grid.L)
         rep = gamma_nd_comparison(A, mesh, Gs, band=band)
         rows.append({"N": int(N), "M": int(M), **{k: rep[k] for k in sorted(rep)}})

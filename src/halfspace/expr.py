@@ -8,8 +8,10 @@ Grammar:
               | '(' expr ')' | factor '^' integer
     func   in {sin, cos, exp}
 
-Expressions are evaluated pointwise on a grid; parse errors report
-line/column positions.
+Expressions are evaluated pointwise on a grid.  Every node of the parse
+tree ends with the (line, column) of its token, so parse errors, division
+by a vanishing value and the first node whose value overflows to a
+non-finite number all report a position.
 """
 
 from __future__ import annotations
@@ -108,8 +110,8 @@ class _Parser:
     def expr(self):
         node = self.term()
         while self.cur.kind == "op" and self.cur.text in "+-":
-            op = self.advance().text
-            node = (op, node, self.term())
+            op = self.advance()
+            node = (op.text, node, self.term(), (op.line, op.col))
         return node
 
     def term(self):
@@ -122,26 +124,27 @@ class _Parser:
     def unary(self):
         # binds looser than '^', so -2^2 is -(2^2)
         if self.cur.kind == "op" and self.cur.text == "-":
-            self.advance()
-            return ("neg", self.unary())
+            op = self.advance()
+            return ("neg", self.unary(), (op.line, op.col))
         return self.factor()
 
     def factor(self):
         tok = self.cur
+        pos = (tok.line, tok.col)
         if tok.kind == "number":
             self.advance()
-            node = ("num", float(tok.text))
+            node = ("num", float(tok.text), pos)
         elif tok.kind == "name":
             self.advance()
             if tok.text == "i":
-                node = ("num", 1j)
+                node = ("num", 1j, pos)
             elif tok.text in ("x1", "x2"):
-                node = ("var", tok.text, (tok.line, tok.col))
+                node = ("var", tok.text, pos)
             elif tok.text in _FUNCS:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
-                node = ("func", tok.text, arg)
+                node = ("func", tok.text, arg, pos)
             else:
                 raise ExprError(f"unknown identifier {tok.text!r}", tok.line, tok.col)
         elif tok.kind == "op" and tok.text == "(":
@@ -151,12 +154,12 @@ class _Parser:
         else:
             raise ExprError(f"unexpected token {tok.text or 'end of input'!r}", tok.line, tok.col)
         while self.cur.kind == "op" and self.cur.text == "^":
-            self.advance()
+            op = self.advance()
             etok = self.cur
             if etok.kind != "number" or "." in etok.text:
                 raise ExprError("exponent must be an integer", etok.line, etok.col)
             self.advance()
-            node = ("pow", node, int(etok.text))
+            node = ("pow", node, int(etok.text), (op.line, op.col))
         return node
 
 
@@ -166,13 +169,22 @@ def parse_expr(src: str):
 
 
 def _eval(node, env: dict) -> np.ndarray | complex:
+    """Value of node; operands are checked before their operator, so the
+    node named by a non-finite error is the first one that overflowed."""
+    val = _apply(node, env)
+    if not np.all(np.isfinite(val)):
+        raise ExprError("value overflows to a non-finite number", *node[-1])
+    return val
+
+
+def _apply(node, env: dict) -> np.ndarray | complex:
     kind = node[0]
     if kind == "num":
         return node[1]
     if kind == "var":
-        name, pos = node[1], node[2]
+        name = node[1]
         if name not in env:
-            raise ExprError(f"variable {name!r} not available on this grid", *pos)
+            raise ExprError(f"variable {name!r} not available on this grid", *node[-1])
         return env[name]
     if kind == "func":
         return _FUNCS[node[1]](_eval(node[2], env))
@@ -180,16 +192,17 @@ def _eval(node, env: dict) -> np.ndarray | complex:
         return _eval(node[1], env) ** node[2]
     if kind == "neg":
         return -_eval(node[1], env)
-    if kind in ("+", "-") and len(node) == 3:
-        a, b = _eval(node[1], env), _eval(node[2], env)
-        return a + b if kind == "+" else a - b
-    if kind in ("*", "/"):
-        a, b = _eval(node[1], env), _eval(node[2], env)
-        if kind == "*":
-            return a * b
+    a, b = _eval(node[1], env), _eval(node[2], env)
+    if kind == "+":
+        return a + b
+    if kind == "-":
+        return a - b
+    if kind == "*":
+        return a * b
+    if kind == "/":
         bad = np.abs(np.asarray(b)) < _DIV_FLOOR
         if np.any(bad):
-            raise ExprError("division by a value below 1e-14", *node[3])
+            raise ExprError("division by a value below 1e-14", *node[-1])
         return a / b
     raise AssertionError(f"bad node {node!r}")
 
@@ -201,5 +214,7 @@ def evaluate_expr(src: str, grid: GridSpec) -> np.ndarray:
     env = {"x1": pts[0]}
     if grid.n == 2:
         env["x2"] = pts[1]
-    val = _eval(node, env)
+    # overflow is reported by _eval with its position, not as a warning
+    with np.errstate(all="ignore"):
+        val = _eval(node, env)
     return np.broadcast_to(np.asarray(val, dtype=complex), grid.shape).copy()

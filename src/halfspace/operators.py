@@ -3,14 +3,14 @@
 All operators on H0 are represented as dense complex matrices of dimension
 2K, K = N^n - 1, acting on stacked coefficient vectors (perpendicular slot
 first).  The functional calculus (sign, semigroups, fractional powers) is
-eigendecomposition-based, with a Newton iteration kept as an independent
-route for the sign function and a Schur fallback for ill-conditioned
-eigenbases.
+eigendecomposition-based.  The sign function has a second route, the
+determinant-scaled Newton iteration, which needs no eigenbasis: it serves
+the callers that need only sgn, checks the eigen route, and replaces it
+when an eigenbasis is ill-conditioned.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +24,7 @@ __all__ = [
     "OperatorMatrix",
     "SpectralDecomposition",
     "BisectorialityError",
+    "NewtonConvergenceError",
     "SubspaceError",
     "UnreliableDecompositionError",
     "decompose",
@@ -45,10 +46,20 @@ __all__ = [
 
 MARGIN_FLOOR = 1e-8
 COND_LIMIT = 1e8
+# A certified margin (OperatorMatrix.margin_bound) above this multiple of
+# MARGIN_FLOOR passes the bisectoriality gate without an eigvals call.  The
+# bound is exact for the computed matrices, but its kappa comes from
+# eigvalsh, whose absolute error is about eps ||calB||; the factor 100 keeps
+# the decision far from that rounding.
+CERTIFICATE_SAFETY = 100.0
 
 
 class BisectorialityError(NumericalError):
     """Spectrum too close to the imaginary axis for the sign calculus."""
+
+
+class NewtonConvergenceError(NumericalError):
+    """The Newton sign iteration did not converge within its step budget."""
 
 
 class SubspaceError(NumericalError):
@@ -62,8 +73,13 @@ class UnreliableDecompositionError(NumericalError):
 
 @dataclass(frozen=True)
 class OperatorMatrix:
+    """A dense operator on H0.  margin_bound is a certified lower bound on
+    min |Re lambda| over its spectrum (0 when none is known); assemble_calB
+    and assemble_operators set it from the accretivity of calB."""
+
     grid: GridSpec
     matrix: np.ndarray
+    margin_bound: float = 0.0
 
     def __post_init__(self):
         dim = 2 * self.grid.nmodes
@@ -226,12 +242,11 @@ def multiplication_operator(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
     return out
 
 
-def assemble_calB(B: CoefficientField, accretivity_floor: float = 1e-10):
+def assemble_calB(B: CoefficientField, accretivity_floor: float = 1e-10) -> OperatorMatrix:
     """Compressed multiplication operator Pi B Pi in V-coordinates.
 
-    Returns (calB, blocks) where blocks is (alpha, gamma, delta) for block
-    lower-triangular B (None otherwise): alpha = a', gamma = R R* c',
-    delta = R R* d' R R* as V-coordinate blocks.
+    Its margin_bound is the accretivity kappa, the least eigenvalue of its
+    Hermitian part: every eigenvalue has Re lambda >= kappa.
     """
     grid = B.grid
     m = multiplication_operator(grid, B.samples)
@@ -242,82 +257,114 @@ def assemble_calB(B: CoefficientField, accretivity_floor: float = 1e-10):
             f"compressed coefficient operator is not accretive on H0 "
             f"(min Hermitian eigenvalue {lam_min:.3e})"
         )
-    op = OperatorMatrix(grid, m)
-    blocks = None
-    if B.block_class in ("lower_triangular", "block_diagonal"):
-        a11, a12, a21, a22 = op.blocks()
-        blocks = (a11, a21, a22)
-    return op, blocks
+    return OperatorMatrix(grid, m, lam_min)
 
 
 def assemble_operators(B: CoefficientField):
-    """Convenience: (S, calB, T, uT) for a first-order coefficient field B."""
+    """(S, calB, T, uT) for a first-order coefficient field B.
+
+    T and uT carry the certified margin kappa min|xi|: from uT v = lambda v,
+    v* calB v = lambda v* S^-1 v with v* S^-1 v real and at most
+    |v|^2 / min|xi| in size, so |Re lambda| >= kappa min|xi|; T = S^-1 uT S
+    has the same spectrum.
+    """
     grid = B.grid
-    calB, _ = assemble_calB(B)
+    calB = assemble_calB(B)
     S = assemble_S(grid)
-    T = OperatorMatrix(grid, calB.matrix @ S.matrix)
-    uT = OperatorMatrix(grid, S.matrix @ calB.matrix)
+    bound = calB.margin_bound * float(np.min(grid.mode_magnitudes()))
+    T = OperatorMatrix(grid, calB.matrix @ S.matrix, bound)
+    uT = OperatorMatrix(grid, S.matrix @ calB.matrix, bound)
     return S, calB, T, uT
+
+
+def _require_margin(margin: float, floor: float = MARGIN_FLOOR) -> None:
+    if margin <= floor:
+        raise BisectorialityError(
+            f"eigenvalue within {floor:.1e} of the imaginary axis "
+            f"(margin {margin:.3e})"
+        )
 
 
 def check_bisectorial(op: OperatorMatrix, floor: float = MARGIN_FLOOR) -> SpectralDecomposition:
     dec = decompose(op)
-    if dec.margin <= floor:
-        raise BisectorialityError(
-            f"eigenvalue within {floor:.1e} of the imaginary axis "
-            f"(margin {dec.margin:.3e})"
-        )
+    _require_margin(dec.margin, floor)
     return dec
 
 
 def _sign_eigen(op: OperatorMatrix) -> np.ndarray:
-    dec = decompose(op)
-    if dec.margin <= MARGIN_FLOOR:
-        raise BisectorialityError(
-            f"sign function undefined: spectral margin {dec.margin:.3e}"
-        )
+    dec = check_bisectorial(op)
     if not dec.reliable or dec.cond > COND_LIMIT:
-        return _sign_schur(op.matrix)
+        return _sign_fallback(op.matrix)
     return dec.function_matrix(lambda lam: np.sign(lam.real).astype(complex))
 
 
-def _sign_schur(m: np.ndarray) -> np.ndarray:
-    # Schur-form fallback: Newton on the triangular factor is stable and
-    # avoids a possibly defective eigenbasis.
-    T, Z = scipy.linalg.schur(m.astype(complex), output="complex")
-    if np.min(np.abs(np.diag(T).real)) <= MARGIN_FLOOR:
-        raise BisectorialityError("Schur fallback: eigenvalue on the imaginary axis")
-    X = T.copy()
-    for _ in range(100):
-        Xn = 0.5 * (X + np.linalg.inv(X))
-        if np.linalg.norm(Xn - X) <= 1e-13 * np.linalg.norm(Xn):
-            X = Xn
-            break
-        X = Xn
-    return Z @ X @ Z.conj().T
+def _sign_fallback(m: np.ndarray) -> np.ndarray:
+    """The eigen route's sign when its eigenbasis is unreliable or
+    ill-conditioned: the Newton iteration, which uses no eigenbasis (the
+    caller has applied the gate)."""
+    return _newton_iteration(m)
+
+
+# bench/tracer.py wraps the fallback, and counts its calls, by this name
+_sign_schur = _sign_fallback
 
 
 def _sign_newton(
     op: OperatorMatrix, tol: float = 1e-12, maxiter: int = 100
 ) -> np.ndarray:
-    """Scaled Newton iteration X <- (mu X + (mu X)^-1)/2 with determinant
-    scaling; falls back to the eigendecomposition route on stagnation."""
-    X = op.matrix.astype(complex)
-    dim = X.shape[0]
-    lam = np.linalg.eigvals(X)
-    if np.min(np.abs(lam.real)) <= 0:
-        raise BisectorialityError("Newton sign iteration needs no purely imaginary eigenvalues")
-    for _ in range(maxiter):
-        sign, logdet = np.linalg.slogdet(X)
-        mu = np.exp(-logdet / dim)
-        Xs = mu * X
-        Xn = 0.5 * (Xs + np.linalg.inv(Xs))
-        delta = np.linalg.norm(Xn - X) / max(np.linalg.norm(Xn), 1e-300)
-        X = Xn
-        if delta <= tol:
+    """Newton route: the gate of the eigen route, from op's certified margin
+    when that clears it by CERTIFICATE_SAFETY and from eigvals otherwise,
+    then the iteration."""
+    if op.margin_bound <= CERTIFICATE_SAFETY * MARGIN_FLOOR:
+        _require_margin(float(np.min(np.abs(np.linalg.eigvals(op.matrix).real))))
+    return _newton_iteration(op.matrix, tol, maxiter)
+
+
+def _newton_iteration(
+    m: np.ndarray, tol: float = 1e-12, maxiter: int = 100
+) -> np.ndarray:
+    """Determinant-scaled Newton iteration X <- (mu X + (mu X)^-1)/2,
+    mu = |det X|^(-1/dim), for a matrix with no eigenvalue on the imaginary
+    axis (Higham, Functions of Matrices, SIAM 2008, ch. 5).
+
+    Each step factors X once: mu comes from the diagonal of the LU factors
+    and X^-1 from the same factors.  With Y = mu X the next iterate obeys
+    X_next - sgn = Y^-1 (Y - sgn)^2 / 2, and ||Y - sgn|| is about
+    ||X_next - Y|| near convergence, so the iteration stops once
+    ||Y^-1|| ||X_next - Y||^2 / 2 <= tol ||X_next||, which saves the last
+    step a test on ||X_next - X|| alone would take.  Raises
+    NewtonConvergenceError when that has not happened after maxiter steps,
+    or when an iterate is singular.
+    """
+    getrf, getri, getri_lwork = scipy.linalg.get_lapack_funcs(
+        ("getrf", "getri", "getri_lwork"), (m,)
+    )
+    X = np.array(m, dtype=complex)
+    # besides X a step uses one array, in place: it holds the LU factors of
+    # X^T (a Fortran-order copy of C-order X needs no transpose), then
+    # (mu X)^-1, then the update X_next - mu X
+    work = np.empty(X.shape, dtype=complex, order="F")
+    lwork = int(getri_lwork(X.shape[0])[0].real)
+    for step in range(1, maxiter + 1):
+        work[...] = X.T
+        lu, piv, info = getrf(work, overwrite_a=True)
+        if info > 0:
+            raise NewtonConvergenceError(f"Newton sign iterate {step} is singular")
+        mu = np.exp(-np.mean(np.log(np.abs(np.diag(lu)))))
+        inv = getri(lu, piv, lwork=lwork, overwrite_lu=True)[0].T
+        inv /= mu
+        X *= mu
+        inv_norm = np.linalg.norm(inv)
+        inv -= X
+        inv *= 0.5
+        X += inv
+        err = 0.5 * inv_norm * np.linalg.norm(inv) ** 2 / max(np.linalg.norm(X), 1e-300)
+        if err <= tol:
             return X
-    warnings.warn("Newton sign iteration did not converge; using eigen route")
-    return _sign_eigen(op)
+    raise NewtonConvergenceError(
+        f"Newton sign iteration did not converge in {maxiter} steps "
+        f"(estimated relative error {err:.3e} > {tol:.1e})"
+    )
 
 
 def matrix_sign(op: OperatorMatrix, method: str = "eigen") -> OperatorMatrix:

@@ -144,17 +144,28 @@ def test_unary_minus_datum(tmp_path):
     assert run(["solve", "--config", str(cfg), "--grid", "16", "--out", str(tmp_path)]) == 0
 
 
+def test_overflowing_datum_reports_position(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"options": {"problem": "neumann", "datum": "sin(sin(i*x1^2))"}}))
+    assert run(["solve", "--config", str(cfg), "--grid", "16", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "line 1, column 1" in err
+
+
 def _rellich_args(N=16):
     item = {"family": "lower_triangular_random", "index": 2, "rep": 0}
     return (1, 2 * np.pi, 0, item, N)
 
 
 def test_rellich_item_factors_once(monkeypatch):
+    # the sign comes from the certified Newton route: no eigendecomposition
     calls = []
-    eig = np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+    for name in ("eig", "eigvals"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, fn=fn, name=name: calls.append(name) or fn(a))
     row = cli._rellich_item(_rellich_args())
-    assert len(calls) == 1
+    assert calls == []
     assert np.isfinite(row["forward"]) and np.isfinite(row["inverse"])
     assert row["graph_residual"] <= 1e-6
 

@@ -110,10 +110,30 @@ _EXPRS = st.recursive(_LEAVES, _extend, max_leaves=8)
 @given(_EXPRS)
 def test_negation_property(e):
     grid = GridSpec(n=1, N=16, L=2 * np.pi)
-    # generated expressions such as sin(sin(i*x1^2)) overflow to inf/nan;
-    # negation is exact for those values too
-    with np.errstate(over="ignore", invalid="ignore"):
+    variants = ["-" + e, f"-({e})", "2*-" + e]
+    try:
         value = evaluate_expr(e, grid)
-        np.testing.assert_array_equal(evaluate_expr("-" + e, grid), -value)
-        np.testing.assert_array_equal(evaluate_expr(f"-({e})", grid), -value)
-        np.testing.assert_array_equal(evaluate_expr("2*-" + e, grid), -2 * value)
+    except ExprError:
+        # generated expressions such as sin(sin(i*x1^2)) overflow: every
+        # variant overflows in the same subexpression
+        for v in variants:
+            with pytest.raises(ExprError, match="non-finite"):
+                evaluate_expr(v, grid)
+        return
+    for v, expected in zip(variants, (-value, -value, -2 * value)):
+        np.testing.assert_array_equal(evaluate_expr(v, grid), expected)
+
+
+@pytest.mark.parametrize("src, col", [
+    ("sin(sin(i*x1^2))", 1),      # the outer sin overflows
+    ("1+exp(exp(x1)^2)", 3),      # the outer exp overflows
+    ("exp(700)*exp(700)", 9),
+    ("exp(600)^2", 9),
+    ("exp(709.5)+exp(709.5)", 11),
+    ("2 * 1" + "0" * 400, 5),     # a literal beyond the float range
+])
+def test_overflow_reports_first_non_finite_node(src, col):
+    grid = GridSpec(n=1, N=64, L=2 * np.pi)
+    with pytest.raises(ExprError, match="non-finite") as ei:
+        evaluate_expr(src, grid)
+    assert (ei.value.line, ei.value.col) == (1, col)

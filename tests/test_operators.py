@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from halfspace.boundary import build_core
-from halfspace.coeffs import hat_transform, make_family
+from halfspace import operators
+from halfspace.coeffs import FAMILY_KINDS, hat_transform, make_family
 from halfspace.errors import NumericalError
 from halfspace.grid import GridSpec, scalar_to_coeffs
 from halfspace.operators import (
     BisectorialityError,
+    NewtonConvergenceError,
     OperatorMatrix,
     SubspaceError,
     assemble_S,
@@ -106,13 +108,56 @@ def test_semigroup_rejects_wrong_subspace(grid):
         semigroup_apply(uT, 1.0, x)
 
 
-def test_bisectoriality_guard(grid):
+@pytest.mark.parametrize("method", ["eigen", "newton"])
+def test_bisectoriality_guard(grid, method):
     m = np.zeros((2 * grid.nmodes, 2 * grid.nmodes), dtype=complex)
     m[0, 0] = 1j  # purely imaginary eigenvalue
     m += 1e-12 * np.eye(2 * grid.nmodes)
     op = OperatorMatrix(grid, m)
     with pytest.raises(BisectorialityError):
-        matrix_sign(op)
+        matrix_sign(op, method=method)
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@pytest.mark.parametrize("N", [32, 64])
+def test_accretivity_certifies_the_spectral_margin(kind, N):
+    # |Re lambda| >= kappa min|xi| for every eigenvalue of uT and of T
+    grid = GridSpec(n=1, N=N, L=2 * np.pi)
+    for seed in (0, 1, 2):
+        _, (S, calB, T, uT) = ops_for(grid, kind, seed=seed)
+        herm = 0.5 * (calB.matrix + calB.matrix.conj().T)
+        bound = np.min(np.linalg.eigvalsh(herm)) * np.min(grid.mode_magnitudes())
+        assert uT.margin_bound == T.margin_bound
+        assert abs(uT.margin_bound - bound) <= 1e-14 * bound
+        for op in (uT, T):
+            margin = np.min(np.abs(np.linalg.eigvals(op.matrix).real))
+            assert margin >= (1 - 1e-10) * bound, (kind, N, seed)
+            if kind == "constant":
+                assert abs(margin - bound) <= 1e-12 * bound
+
+
+def test_newton_non_convergence_is_typed(grid):
+    _, (S, calB, T, uT) = ops_for(grid, "lower_triangular_random", seed=3)
+    with pytest.raises(NewtonConvergenceError, match="did not converge in 2 steps"):
+        operators._sign_newton(uT, maxiter=2)
+    assert issubclass(NewtonConvergenceError, NumericalError)  # exit code 3
+
+
+def test_ill_conditioned_eigenbasis_falls_back_to_newton(grid, monkeypatch):
+    _, (S, calB, T, uT) = ops_for(grid, "smooth_trig", seed=2)
+    dec = decompose(uT)
+    fallbacks = []
+    fallback = operators._sign_fallback
+    monkeypatch.setattr(operators, "_sign_fallback",
+                        lambda m: fallbacks.append(m.shape) or fallback(m))
+    monkeypatch.setattr(operators, "COND_LIMIT", 0.5 * dec.cond)
+    sg = matrix_sign(uT).matrix
+    assert fallbacks == [uT.matrix.shape]
+    assert np.linalg.norm(sg @ sg - np.eye(uT.dim)) <= 1e-10
+    comm = sg @ uT.matrix - uT.matrix @ sg
+    assert np.linalg.norm(comm) <= 1e-10 * np.linalg.norm(uT.matrix)
+    re = dec.eigenvalues.real
+    assert abs(np.trace(sg) - (np.sum(re > 0) - np.sum(re < 0))) <= 1e-10
 
 
 def test_fractional_power_endpoints(grid):
