@@ -223,13 +223,7 @@ def riesz_apply(grid: GridSpec, f: np.ndarray) -> np.ndarray:
     Returns an array of shape (n,) + grid.shape.  The zero mode is dropped.
     """
     _check_finite(f, "riesz input")
-    fh = fftn(grid, f)
-    m = grid.freq_magnitude()
-    xi = grid.frequencies()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sym = np.where(m > 0, 1.0 / m, 0.0)
-    out = ifftn(grid, 1j * xi * sym * fh)
-    return out
+    return ifftn(grid, _v_symbols(grid) * fftn(grid, f))
 
 
 def riesz_adjoint(grid: GridSpec, g: np.ndarray) -> np.ndarray:
@@ -237,12 +231,7 @@ def riesz_adjoint(grid: GridSpec, g: np.ndarray) -> np.ndarray:
     _check_finite(g, "riesz adjoint input")
     if g.shape != (grid.n,) + grid.shape:
         raise ValueError("expected a tangential (n-component) field")
-    gh = fftn(grid, g)
-    m = grid.freq_magnitude()
-    xi = grid.frequencies()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sym = np.where(m > 0, 1.0 / m, 0.0)
-    contracted = np.sum(-1j * xi * sym * gh, axis=0)
+    contracted = np.sum(np.conj(_v_symbols(grid)) * fftn(grid, g), axis=0)
     return ifftn(grid, contracted)
 
 
@@ -350,27 +339,6 @@ def _v_symbols(grid: GridSpec) -> np.ndarray:
     return 1j * xi * inv
 
 
-def _vcoords_batch_to_fields(grid: GridSpec, P: np.ndarray) -> np.ndarray:
-    """Map a batch of V-coordinate vectors (dim, batch) to physical
-    (1+n)-component fields, shape (batch, 1+n) + grid.shape."""
-    K = grid.nmodes
-    batch = P.shape[1]
-    mask = grid.nonzero_mask().ravel()
-    scale = _coeff_scale(grid)
-    p1 = np.zeros((batch, grid.npoints), dtype=complex)
-    p2 = np.zeros((batch, grid.npoints), dtype=complex)
-    p1[:, mask] = P[:K].T
-    p2[:, mask] = P[K:].T
-    p1 = p1.reshape((batch,) + grid.shape) / scale
-    p2 = p2.reshape((batch,) + grid.shape) / scale
-    sym = _v_symbols(grid)  # (n,) + shape
-    fields_hat = np.empty((batch, 1 + grid.n) + grid.shape, dtype=complex)
-    fields_hat[:, 0] = p1
-    for j in range(grid.n):
-        fields_hat[:, 1 + j] = -sym[j] * p2
-    return ifftn(grid, fields_hat)
-
-
 def vcoords_to_fields(grid: GridSpec, P: np.ndarray) -> np.ndarray:
     """Physical H0 fields of a batch of V-coordinate vectors, P of shape
     (2K, batch) -> values of shape (batch, 1+n) + grid.shape.
@@ -382,7 +350,11 @@ def vcoords_to_fields(grid: GridSpec, P: np.ndarray) -> np.ndarray:
     if P.ndim != 2 or P.shape[0] != 2 * K:
         raise ValueError(f"expected V-coordinate vectors of length {2 * K} as columns")
     _check_finite(P, "V input")
-    F = _vcoords_batch_to_fields(grid, P)
+    batch = P.shape[1]
+    coeffs = np.zeros((2, batch, grid.npoints), dtype=complex)
+    coeffs[:, :, grid.nonzero_mask().ravel()] = P.reshape(2, K, batch).transpose(0, 2, 1)
+    p1, p2 = coeffs.reshape((2, batch, 1) + grid.shape) / _coeff_scale(grid)
+    F = ifftn(grid, np.concatenate([p1, -_v_symbols(grid) * p2], axis=1))
     F -= np.mean(F, axis=tuple(range(-grid.n, 0)), keepdims=True)
     _validate_h0(grid, fftn(grid, F))
     return F

@@ -18,7 +18,7 @@ import scipy.linalg
 
 from .coeffs import CoefficientField, NonAccretiveError
 from .errors import NumericalError
-from .grid import GridSpec, _coeff_scale, _v_symbols, _vcoords_batch_to_fields, fftn, ifftn
+from .grid import GridSpec, _v_symbols, fftn
 
 __all__ = [
     "OperatorMatrix",
@@ -109,10 +109,6 @@ class SpectralDecomposition:
     cond: float
     margin: float
     reliable: bool
-
-    def apply_function(self, f, x: np.ndarray) -> np.ndarray:
-        """Evaluate f(op) @ x through the eigenbasis."""
-        return self.vectors @ (f(self.eigenvalues) * (self.vectors_inv @ x))
 
     def function_matrix(self, f) -> np.ndarray:
         return (self.vectors * f(self.eigenvalues)) @ self.vectors_inv
@@ -207,38 +203,34 @@ def assemble_S(grid: GridSpec) -> OperatorMatrix:
     return OperatorMatrix(grid, m)
 
 
-def _fields_batch_to_vcoords(grid: GridSpec, F: np.ndarray) -> np.ndarray:
-    """Adjoint of grid._vcoords_batch_to_fields (project onto H0 and return
-    V-coordinates)."""
-    batch = F.shape[0]
+def _apply_S(grid: GridSpec, X: np.ndarray) -> np.ndarray:
+    """S @ X for S = assemble_S(grid), X of 2K rows: the two halves of the
+    rows swapped and each row scaled by |xi|.  Each entry of the product has
+    one nonzero term, so this equals the dense product exactly."""
     K = grid.nmodes
-    mask = grid.nonzero_mask().ravel()
-    scale = _coeff_scale(grid)
-    Fh = fftn(grid, F)
-    sym = _v_symbols(grid)
-    p1 = Fh[:, 0]
-    p2 = np.zeros_like(p1)
-    for j in range(grid.n):
-        p2 = p2 + np.conj(sym[j]) * (-1.0) * Fh[:, 1 + j]
-    out = np.empty((2 * K, batch), dtype=complex)
-    out[:K] = (p1.reshape(batch, -1)[:, mask] * scale).T
-    out[K:] = (p2.reshape(batch, -1)[:, mask] * scale).T
-    return out
+    w = grid.mode_magnitudes().reshape((K,) + (1,) * (X.ndim - 1))
+    return np.concatenate([w * X[K:], w * X[:K]])
 
 
-def multiplication_operator(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
-    """Dense V-coordinate matrix of Pi (multiply by M(x)) Pi for pointwise
-    matrix samples of shape grid.shape + (1+n, 1+n)."""
-    dim = 2 * grid.nmodes
-    out = np.empty((dim, dim), dtype=complex)
-    chunk = 256
-    for start in range(0, dim, chunk):
-        stop = min(start + chunk, dim)
-        E = np.zeros((dim, stop - start), dtype=complex)
-        E[np.arange(start, stop), np.arange(stop - start)] = 1.0
-        fields = _vcoords_batch_to_fields(grid, E)  # (batch, 1+n)+shape
-        mult = np.einsum("...pq,b q...->b p...", samples, fields)
-        out[:, start:stop] = _fields_batch_to_vcoords(grid, mult)
+def _gather(grid: GridSpec, samples: np.ndarray, left, right) -> np.ndarray:
+    """K x K matrix sum_pq conj(left_p[k]) M_pq[k - l] right_q[l] over the
+    nonzero modes k, l, where M_pq = fftn(samples[..., p, q]) / npoints.
+
+    This is the compression of pointwise multiplication by the matrix
+    samples (shape grid.shape + (P, Q)) between the per-mode symbols left
+    (P entries) and right (Q entries), each of grid.shape or None for a
+    zero symbol: multiplication is convolution of the Fourier coefficients.
+    """
+    idx = np.nonzero(grid.nonzero_mask())  # per-axis indices of the K modes
+    flat = np.zeros((grid.nmodes, grid.nmodes), dtype=np.intp)
+    for i in idx:
+        flat = flat * grid.N + (i[:, None] - i[None, :]) % grid.N
+    Mh = fftn(grid, np.moveaxis(samples, (-2, -1), (0, 1))) / grid.npoints
+    out = np.zeros(flat.shape, dtype=complex)
+    for p, lp in enumerate(left):
+        for q, rq in enumerate(right):
+            if lp is not None and rq is not None:
+                out += np.conj(lp[idx])[:, None] * Mh[p, q].ravel()[flat] * rq[idx]
     return out
 
 
@@ -249,7 +241,14 @@ def assemble_calB(B: CoefficientField, accretivity_floor: float = 1e-10) -> Oper
     Hermitian part: every eigenvalue has Re lambda >= kappa.
     """
     grid = B.grid
-    m = multiplication_operator(grid, B.samples)
+    # V = [[I, 0], [0, -R]]: the perpendicular slot is component 0 with
+    # symbol 1, the tangential slot components 1..n with -i xi_j / |xi|
+    perp = [np.ones(grid.shape)] + [None] * grid.n
+    par = [None] + [-sj for sj in _v_symbols(grid)]
+    m = np.block([
+        [_gather(grid, B.samples, perp, perp), _gather(grid, B.samples, perp, par)],
+        [_gather(grid, B.samples, par, perp), _gather(grid, B.samples, par, par)],
+    ])
     herm = 0.5 * (m + m.conj().T)
     lam_min = float(np.min(np.linalg.eigvalsh(herm)))
     if lam_min < accretivity_floor:
@@ -272,8 +271,9 @@ def assemble_operators(B: CoefficientField):
     calB = assemble_calB(B)
     S = assemble_S(grid)
     bound = calB.margin_bound * float(np.min(grid.mode_magnitudes()))
-    T = OperatorMatrix(grid, calB.matrix @ S.matrix, bound)
-    uT = OperatorMatrix(grid, S.matrix @ calB.matrix, bound)
+    # T = calB S is the transpose of S calB^T
+    T = OperatorMatrix(grid, _apply_S(grid, calB.matrix.T).T, bound)
+    uT = OperatorMatrix(grid, _apply_S(grid, calB.matrix), bound)
     return S, calB, T, uT
 
 
@@ -476,29 +476,6 @@ def fractional_power(op: OperatorMatrix, s: float) -> OperatorMatrix:
     return OperatorMatrix(op.grid, m)
 
 
-def riesz_compress_matrix(grid: GridSpec, d_samples: np.ndarray) -> np.ndarray:
-    """K x K matrix of R* d(x) R on mean-zero scalars (d: n x n samples)."""
-    K = grid.nmodes
-    mask = grid.nonzero_mask().ravel()
-    scale = _coeff_scale(grid)
-    sym = _v_symbols(grid)
-    E = np.zeros((K, grid.npoints), dtype=complex)
-    E[np.arange(K), np.where(mask)[0]] = 1.0
-    Ehat = E.reshape((K,) + grid.shape) / scale
-    vec_hat = np.stack([sym[j] * Ehat for j in range(grid.n)], axis=1)
-    vec = ifftn(grid, vec_hat)  # (K, n) + shape
-    if grid.n == 1:
-        dmat = d_samples.reshape(grid.shape + (1, 1))
-    else:
-        dmat = d_samples
-    mult = np.einsum("...pq,b q...->b p...", dmat, vec)
-    mh = fftn(grid, mult)
-    contracted = np.zeros((K,) + grid.shape, dtype=complex)
-    for j in range(grid.n):
-        contracted += np.conj(sym[j]) * mh[:, j]
-    return (contracted.reshape(K, -1)[:, mask] * scale).T
-
-
 def kato_check(
     grid: GridSpec,
     d_samples: np.ndarray,
@@ -513,7 +490,8 @@ def kato_check(
     random corpus.
     """
     K = grid.nmodes
-    M = riesz_compress_matrix(grid, d_samples)
+    sym = _v_symbols(grid)
+    M = _gather(grid, d_samples.reshape(grid.shape + (grid.n, grid.n)), sym, sym)
     herm = 0.5 * (M + M.conj().T)
     lam_min = float(np.min(np.linalg.eigvalsh(herm)))
     if lam_min <= 0:

@@ -30,6 +30,7 @@ from .grid import (
 )
 from .operators import (
     OperatorMatrix,
+    _apply_S,
     assemble_operators,
     decompose_T_from_uT,
     log_t_levels,
@@ -299,7 +300,7 @@ def solve_dirichlet_l2(
         "datum_norm": l2_norm(grid, u0),
         "trace_norm": float(np.linalg.norm(H0t)),
     }
-    diag["square_function"] = _square_function(core.uT, core.S.matrix @ H0t, core.calB)
+    diag["square_function"] = _square_function(core.uT, _apply_S(grid, H0t), core.calB)
     return SolutionHandle("l2_dirichlet", A, H0t, core.uT, core.T, core.calB, c, diag)
 
 
@@ -382,13 +383,7 @@ def _gradient_trace(handle: SolutionHandle) -> np.ndarray:
     if handle.representation != "l2_dirichlet":
         return handle.trace
     # grad_A u = exp(-t uT) S H0~ when u = -(exp(-t T) H0~)_perp + c
-    grid = handle.grid
-    w = grid.mode_magnitudes()
-    K = grid.nmodes
-    p = np.empty_like(handle.trace)
-    p[:K] = w * handle.trace[K:]
-    p[K:] = w * handle.trace[:K]
-    return p
+    return _apply_S(handle.grid, handle.trace)
 
 
 def _strip_levels(t_grid) -> np.ndarray:

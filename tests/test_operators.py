@@ -8,13 +8,24 @@ from halfspace.boundary import build_core
 from halfspace import operators
 from halfspace.coeffs import FAMILY_KINDS, hat_transform, make_family
 from halfspace.errors import NumericalError
-from halfspace.grid import GridSpec, scalar_to_coeffs
+from halfspace.grid import (
+    BoundaryField,
+    GridSpec,
+    _v_symbols,
+    coeffs_to_scalar,
+    field_to_vcoords,
+    riesz_adjoint,
+    riesz_apply,
+    scalar_to_coeffs,
+    v_apply,
+)
 from halfspace.operators import (
     BisectorialityError,
     NewtonConvergenceError,
     OperatorMatrix,
     SubspaceError,
     assemble_S,
+    assemble_calB,
     assemble_operators,
     decompose,
     decompose_T_from_uT,
@@ -60,6 +71,40 @@ def test_intertwining_relations(grid):
     scale = np.linalg.norm(S.matrix, 2)
     assert np.linalg.norm(uT.matrix @ S.matrix - S.matrix @ T.matrix, 2) < 1e-10 * scale**2
     assert np.linalg.norm(calB.matrix @ uT.matrix - T.matrix @ calB.matrix, 2) < 1e-10 * scale
+
+
+ASSEMBLY_GRIDS = [GridSpec(n=1, N=16), GridSpec(n=2, N=8)]
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@pytest.mark.parametrize("g", ASSEMBLY_GRIDS, ids=["n1N16", "n2N8"])
+def test_gather_matches_per_vector_route(g, kind):
+    # column l of Pi B Pi is V* (B . V e_l); column l of R* d R is R* (d . R e_l)
+    A = make_family(g, kind, seed=3)
+    B = hat_transform(A)
+    K = g.nmodes
+    calB = np.empty((2 * K, 2 * K), dtype=complex)
+    for l, e in enumerate(np.eye(2 * K)):
+        Ve = v_apply(g, np.stack([coeffs_to_scalar(g, e[:K]), coeffs_to_scalar(g, e[K:])]))
+        BVe = np.einsum("...pq,q...->p...", B.samples, Ve.values)
+        calB[:, l] = field_to_vcoords(BoundaryField(g, BVe))
+    M = assemble_calB(B).matrix
+    assert np.linalg.norm(M - calB) <= 1e-13 * np.linalg.norm(calB)
+    RdR = np.empty((K, K), dtype=complex)
+    for l, e in enumerate(np.eye(K)):
+        dRe = np.einsum("...pq,q...->p...", A.d, riesz_apply(g, coeffs_to_scalar(g, e)))
+        RdR[:, l] = scalar_to_coeffs(g, riesz_adjoint(g, dRe))
+    sym = _v_symbols(g)
+    M = operators._gather(g, A.d, sym, sym)
+    assert np.linalg.norm(M - RdR) <= 1e-13 * np.linalg.norm(RdR)
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@pytest.mark.parametrize("g", ASSEMBLY_GRIDS, ids=["n1N16", "n2N8"])
+def test_block_swap_equals_dense_S_products(g, kind):
+    _, (S, calB, T, uT) = ops_for(g, kind, seed=4)
+    assert np.array_equal(T.matrix, calB.matrix @ S.matrix)
+    assert np.array_equal(uT.matrix, S.matrix @ calB.matrix)
 
 
 def test_sign_is_involution_and_matches_newton(grid):
