@@ -35,6 +35,7 @@ from .coeffs import (
 )
 from .operators import (
     BisectorialityError,
+    InvolutionError,
     NewtonConvergenceError,
     OperatorMatrix,
     SubspaceError,
@@ -84,6 +85,7 @@ from .solvers import (
 )
 from .oracle import (
     OracleSolution,
+    SingularFormError,
     StripMesh,
     coercivity_check,
     energy_solve_neumann,

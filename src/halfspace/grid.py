@@ -309,8 +309,11 @@ def sobolev_norm(grid: GridSpec, f: np.ndarray, s: float) -> float:
 # norm of the field it represents.
 
 def scalar_to_coeffs(grid: GridSpec, f: np.ndarray) -> np.ndarray:
-    fh = fftn(grid, f).ravel() * _coeff_scale(grid)
-    return fh[grid.nonzero_mask().ravel()]
+    """Nonzero-mode coefficients of a scalar field, shape (K,); a batch of
+    fields (batch,) + grid.shape gives (K, batch), inverting coeffs_to_scalar."""
+    f = np.asarray(f)
+    fh = fftn(grid, f).reshape(f.shape[: f.ndim - grid.n] + (grid.npoints,)) * _coeff_scale(grid)
+    return fh[..., grid.nonzero_mask().ravel()].T
 
 
 def coeffs_to_scalar(grid: GridSpec, c: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ __all__ = [
     "NewtonConvergenceError",
     "SubspaceError",
     "UnreliableDecompositionError",
+    "InvolutionError",
     "decompose",
     "decompose_T_from_uT",
     "assemble_S",
@@ -69,6 +70,10 @@ class SubspaceError(NumericalError):
 
 class UnreliableDecompositionError(NumericalError):
     """The eigendecomposition does not reconstruct its operator."""
+
+
+class InvolutionError(NumericalError):
+    """A sign matrix does not square to the identity within tolerance."""
 
 
 @dataclass(frozen=True)
@@ -382,7 +387,7 @@ def spectral_projectors(sgn_op: OperatorMatrix, tol: float = 1e-6):
     m = sgn_op.matrix
     eye = np.eye(m.shape[0])
     if np.linalg.norm(m @ m - eye) > max(tol, 1e-6) * m.shape[0]:
-        raise ValueError("input is not an involution within tolerance")
+        raise InvolutionError("input is not an involution within tolerance")
     P_plus = 0.5 * (eye + m)
     P_minus = eye - P_plus
     return (

@@ -9,6 +9,16 @@ coefficients is integrated to high accuracy.  The top boundary carries a
 homogeneous Dirichlet condition; its effect decays like exp(-T_max) for
 mean-zero data.
 
+The coefficients are t-independent and the mesh is a tensor product, so the
+form couples only neighbouring t-levels: ordered level by level it is block
+tridiagonal with N^n x N^n blocks.  Every solve is one block elimination
+over the free levels (`_level_sweep`): Schur complements are formed from the
+top level down, S_i = D_i - U_i S_{i+1}^-1 L_i, and the solution is
+substituted back up from the lowest free level.  The complement S_0 left on
+the boundary level is the discrete Dirichlet-to-Neumann (Steklov-Poincare)
+map of the strip, so the Neumann-to-Dirichlet map is S_0^-1 on the weak
+boundary vectors and needs no interior values.
+
 This module never touches the spectral operator calculus: it is the
 independent cross-check for the semigroup solvers and boundary maps.
 """
@@ -19,21 +29,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import zgetrf, zgetrs
 
 from .coeffs import CoefficientField, hat_transform
+from .errors import NumericalError
 from .grid import (
     GridSpec,
     coeffs_to_scalar,
     fftn,
     ifftn,
-    remove_mean,
     scalar_to_coeffs,
     sobolev_norm,
 )
 from .solvers import _full_gradient, _gradient_fields
 
 __all__ = [
+    "SingularFormError",
     "StripMesh",
     "OracleSolution",
     "energy_solve_neumann",
@@ -48,7 +59,31 @@ __all__ = [
     "strip_gradient_error",
 ]
 
-_SOLVER_TOL = 1e-10
+# normwise backward error accepted from a level sweep
+_BACKWARD_TOL = 1e-12
+
+
+class SingularFormError(NumericalError):
+    """The discrete form is numerically singular on the free t-levels."""
+
+
+def _grading_ratio(d0: float, M: int, T: float) -> float:
+    """Growth ratio r in (1, 2] with d0 (r^M - 1)/(r - 1) = T, for M d0 < T.
+
+    Bisection down to adjacent floats: the sum of the steps increases with
+    r, and r -> 1 gives M d0 < T, so the root is bracketed by (1, 2].
+    """
+    if d0 * (2.0**M - 1.0) < T:
+        raise ValueError("graded mesh needs a growth ratio above 2: raise M or dt0")
+    lo, hi = 1.0, 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if d0 * (mid**M - 1.0) / (mid - 1.0) < T:
+            lo = mid
+        else:
+            hi = mid
 
 
 @dataclass(frozen=True)
@@ -105,14 +140,7 @@ class StripMesh:
         d0 = grid.h / 4.0 if dt0 is None else float(dt0)
         if M * d0 >= T:
             return cls.uniform(grid, M, T)
-        # solve d0 (r^M - 1)/(r - 1) = T for the growth ratio r > 1
-        from scipy.optimize import brentq
-
-        def gap(r):
-            return d0 * (r**M - 1.0) / (r - 1.0) - T
-
-        r = brentq(gap, 1.0 + 1e-12, 2.0, xtol=1e-14)
-        steps = d0 * r ** np.arange(M)
+        steps = d0 * _grading_ratio(d0, M, T) ** np.arange(M)
         ts = np.concatenate([[0.0], np.cumsum(steps)])
         ts[-1] = T
         return cls(grid, ts)
@@ -197,6 +225,89 @@ def _t_factors(dts: np.ndarray):
     return Ktt, Mtt, Qdt
 
 
+def _element_matrices(samples: np.ndarray, grid: GridSpec, t_nodes: np.ndarray, ngauss: int):
+    """Per-cell element matrices of the form and the x-node numbering.
+
+    Returns (K, xnode).  K[i, j, at, a, bt, b] = int_cell A grad phi_b . grad
+    phi_a over t-cell i (levels i, i+1) crossed with x-cell j, where at, bt in
+    {0, 1} pick the lower or upper t-vertex and a, b the 2^n x-vertices of the
+    row and column shape functions; xnode[j, a] is the grid index of x-vertex
+    a of x-cell j.
+    """
+    n = grid.n
+    N = grid.N
+    h = grid.h
+    Ktt, Mtt, Qdt = _t_factors(np.diff(t_nodes))
+    sg, wg = _gauss01(ngauss)
+    PH, DH = _shape_tables(sg)
+    U = [PH, DH / h]  # index by whether the direction is this x axis
+
+    # X[p, q][j, a, b] = int_xcell A_pq * (shape or dshape) products, with
+    # the coefficient values at the gauss offsets: one shifted copy per offset
+    if n == 1:
+        A_g = np.stack([_shift_samples(grid, samples, (s * h,)) for s in sg])
+        X = np.empty((2, 2, N, 2, 2), dtype=complex)
+        for p in range(2):
+            for q in range(2):
+                X[p, q] = np.einsum(
+                    "g,gj,ag,bg->jab", h * wg, A_g[:, :, p, q], U[int(p == 1)], U[int(q == 1)]
+                )
+    else:  # trilinear elements
+        offsets = [(s1 * h, s2 * h) for s1 in sg for s2 in sg]
+        A_g = np.stack([_shift_samples(grid, samples, d) for d in offsets])
+        A_g = A_g.reshape((ngauss, ngauss, N, N, 3, 3))
+        X = np.empty((3, 3, N, N, 2, 2, 2, 2), dtype=complex)  # [p,q,j1,j2,a1,a2,b1,b2]
+        for p in range(3):
+            for q in range(3):
+                X[p, q] = np.einsum(
+                    "g,f,gfjk,ag,cf,bg,df->jkacbd",
+                    h * wg,
+                    h * wg,
+                    A_g[:, :, :, :, p, q],
+                    U[int(p == 1)],
+                    U[int(p == 2)],
+                    U[int(q == 1)],
+                    U[int(q == 2)],
+                    optimize=True,
+                )
+        X = X.reshape((3, 3, N * N, 4, 4))
+
+    nv = 2**n
+    K = np.zeros((len(Ktt), grid.npoints, 2, nv, 2, nv), dtype=complex)
+    for p in range(1 + n):
+        for q in range(1 + n):
+            if p == 0 and q == 0:
+                Tfac = Ktt
+            elif p == 0:
+                Tfac = Qdt  # test t-deriv, trial x-deriv
+            elif q == 0:
+                Tfac = np.swapaxes(Qdt, 1, 2)
+            else:
+                Tfac = Mtt
+            K += np.einsum("iab,jcd->ijacbd", Tfac, X[p, q])
+
+    shifted = (np.arange(N)[:, None] + np.arange(2)) % N  # [j, a] per axis
+    if n == 1:
+        xnode = shifted
+    else:
+        xnode = (shifted[:, None, :, None] * N + shifted[None, :, None, :]).reshape(N * N, 4)
+    return K, xnode
+
+
+def _form_csr(K: np.ndarray, xnode: np.ndarray) -> sp.csr_matrix:
+    """Scatter the element matrices into the global form over all levels."""
+    M, npts, _, nv, _, _ = K.shape
+    i = np.arange(M).reshape(-1, 1, 1, 1, 1, 1)
+    t = np.arange(2)
+    rows = (i + t.reshape(1, 1, 2, 1, 1, 1)) * npts + xnode.reshape(1, npts, 1, nv, 1, 1)
+    cols = (i + t.reshape(1, 1, 1, 1, 2, 1)) * npts + xnode.reshape(1, npts, 1, 1, 1, nv)
+    size = (M + 1) * npts
+    return sp.coo_matrix(
+        (K.ravel(), (np.broadcast_to(rows, K.shape).ravel(), np.broadcast_to(cols, K.shape).ravel())),
+        shape=(size, size),
+    ).tocsr()
+
+
 def assemble_form(
     samples: np.ndarray,
     grid: GridSpec,
@@ -206,105 +317,86 @@ def assemble_form(
     """Global sesquilinear-form matrix a(u, phi) = sum A grad u . grad phi
     over the strip, for pointwise coefficient samples of shape
     grid.shape + (1+n, 1+n).  No boundary conditions are applied."""
-    n = grid.n
-    h = grid.h
-    dts = np.diff(t_nodes)
-    M = len(dts)
-    Ktt, Mtt, Qdt = _t_factors(dts)
-    sg, wg = _gauss01(ngauss)
-    PH, DH = _shape_tables(sg)
-    DHh = DH / h
+    return _form_csr(*_element_matrices(samples, grid, t_nodes, ngauss))
 
-    # coefficient values at the gauss offsets: one shifted copy per offset
-    if n == 1:
-        A_g = np.stack([_shift_samples(grid, samples, (s * h,)) for s in sg])
-        # X[pq][j, ax, bx] = int_cell A_pq * (shape or dshape) products
-        U = [PH, DHh]  # index by whether the direction is this x axis
-        X = np.empty((2, 2, grid.N, 2, 2), dtype=complex)
-        for p in range(2):
-            for q in range(2):
-                Up = U[1 if p == 1 else 0]
-                Uq = U[1 if q == 1 else 0]
-                X[p, q] = np.einsum(
-                    "g,gj,ag,bg->jab", h * wg, A_g[:, :, p, q], Up, Uq
-                )
-        Tfac = {
-            (0, 0): Ktt,
-            (0, 1): Qdt,  # test t-deriv, trial x-deriv
-            (1, 0): np.swapaxes(Qdt, 1, 2),
-            (1, 1): Mtt,
-        }
-        K_loc = np.zeros((M, grid.N, 2, 2, 2, 2), dtype=complex)  # [i,j,at,ax,bt,bx]
-        for p in range(2):
-            for q in range(2):
-                K_loc += np.einsum("iab,jcd->ijacbd", Tfac[(p, q)], X[p, q])
-        # scatter
-        it = np.arange(M)
-        ix = np.arange(grid.N)
-        at = np.arange(2)
-        I, J, AT, AX, BT, BX = np.meshgrid(it, ix, at, at, at, at, indexing="ij")
-        rows = (I + AT) * grid.npoints + (J + AX) % grid.N
-        cols = (I + BT) * grid.npoints + (J + BX) % grid.N
-        G = sp.coo_matrix(
-            (K_loc.ravel(), (rows.ravel(), cols.ravel())),
-            shape=((M + 1) * grid.npoints, (M + 1) * grid.npoints),
-        ).tocsr()
-        return G
 
-    # n == 2: trilinear elements
-    N = grid.N
-    offsets = [(s1 * h, s2 * h) for s1 in sg for s2 in sg]
-    A_g = np.stack([_shift_samples(grid, samples, d) for d in offsets])
-    A_g = A_g.reshape((ngauss, ngauss, N, N, 3, 3))
-    U = [PH, DHh]
-    X = np.empty((3, 3, N, N, 2, 2, 2, 2), dtype=complex)  # [p,q,j1,j2,a1,a2,b1,b2]
-    for p in range(3):
-        for q in range(3):
-            U1p = U[1 if p == 1 else 0]
-            U2p = U[1 if p == 2 else 0]
-            U1q = U[1 if q == 1 else 0]
-            U2q = U[1 if q == 2 else 0]
-            X[p, q] = np.einsum(
-                "g,f,gfjk,ag,cf,bg,df->jkacbd",
-                h * wg,
-                h * wg,
-                A_g[:, :, :, :, p, q],
-                U1p,
-                U2p,
-                U1q,
-                U2q,
-                optimize=True,
-            )
-    Tfac = {}
-    for p in range(3):
-        for q in range(3):
-            if p == 0 and q == 0:
-                Tfac[(p, q)] = Ktt
-            elif p == 0:
-                Tfac[(p, q)] = Qdt
-            elif q == 0:
-                Tfac[(p, q)] = np.swapaxes(Qdt, 1, 2)
-            else:
-                Tfac[(p, q)] = Mtt
-    K_loc = np.zeros((M, N, N, 2, 2, 2, 2, 2, 2), dtype=complex)
-    # [i,j1,j2,at,a1,a2,bt,b1,b2]
-    for p in range(3):
-        for q in range(3):
-            K_loc += np.einsum(
-                "iab,jkcedf->ijkacebdf", Tfac[(p, q)], X[p, q], optimize=True
-            )
-    it = np.arange(M)
-    jx = np.arange(N)
-    a2 = np.arange(2)
-    mesh_idx = np.meshgrid(it, jx, jx, a2, a2, a2, a2, a2, a2, indexing="ij")
-    I, J1, J2, AT, A1, A2, BT, B1, B2 = mesh_idx
-    rows = (I + AT) * grid.npoints + ((J1 + A1) % N) * N + (J2 + A2) % N
-    cols = (I + BT) * grid.npoints + ((J1 + B1) % N) * N + (J2 + B2) % N
-    G = sp.coo_matrix(
-        (K_loc.ravel(), (rows.ravel(), cols.ravel())),
-        shape=((M + 1) * grid.npoints, (M + 1) * grid.npoints),
-    ).tocsr()
-    return G
+def _cell_blocks(K_i: np.ndarray, xnode: np.ndarray) -> np.ndarray:
+    """The level blocks B[at, bt] (each N^n x N^n) that t-cell i adds to the
+    form: B[0, 0] to level i, B[1, 1] to level i+1, B[0, 1] and B[1, 0] to
+    their couplings."""
+    npts, nv = xnode.shape
+    B = np.zeros((2, 2, npts, npts), dtype=complex)
+    for a in range(nv):
+        for b in range(nv):
+            # j -> xnode[j, a] is one-to-one, so no entry repeats in one update
+            B[:, :, xnode[:, a], xnode[:, b]] += np.moveaxis(K_i[:, :, a, :, b], 0, -1)
+    return B
+
+
+def _factor(S: np.ndarray, level: int):
+    lu, piv, info = zgetrf(S, overwrite_a=True)
+    if info > 0:
+        raise SingularFormError(f"singular pivot in the Schur complement of t-level {level}")
+    return lu, piv
+
+
+def _solve(factors, rhs: np.ndarray) -> np.ndarray:
+    return zgetrs(*factors, rhs)[0]
+
+
+def _level_sweep(
+    K: np.ndarray,
+    xnode: np.ndarray,
+    first: int,
+    rhs: np.ndarray,
+    boundary_only: bool = False,
+) -> np.ndarray:
+    """Solve the form on the free t-levels first..M-1, the top level M held
+    at zero, by block elimination over the levels.
+
+    rhs has shape (M - first, N^n), one weak vector per free level, and the
+    result the same shape.  With boundary_only the data sit on level first
+    alone: rhs is (N^n, k), one column per datum, and the result is the
+    solution on level first, S_first^-1 rhs; no interior level is kept.
+    The free form has a positive-definite Hermitian part for accretive A and
+    its Schur complements inherit it, so each level is factored with partial
+    pivoting inside the level and no pivoting across levels.
+    """
+    M = K.shape[0]
+    coupling, partial = {}, {}  # S_{i+1}^-1 L_i and S_i^-1 g_i per level
+    cell = _cell_blocks(K[M - 1], xnode)
+    for i in range(M - 1, first - 1, -1):
+        below = _cell_blocks(K[i - 1], xnode) if i > 0 else None
+        S = cell[0, 0] if below is None else cell[0, 0] + below[1, 1]
+        if i < M - 1:
+            W = _solve(factors, cell[1, 0])
+            S = S - cell[0, 1] @ W
+        factors = _factor(S, i)
+        if not boundary_only:
+            g = rhs[i - first]
+            if i < M - 1:
+                coupling[i] = W
+                g = g - cell[0, 1] @ partial[i + 1]
+            partial[i] = _solve(factors, g)
+        cell = below
+    if boundary_only:
+        return _solve(factors, rhs)
+    u = np.empty_like(rhs)
+    u[0] = partial[first]
+    for i in range(first, M - 1):
+        u[i + 1 - first] = partial[i + 1] - coupling[i] @ u[i - first]
+    return u
+
+
+def _check_backward_error(G: sp.csr_matrix, u: np.ndarray, residual: np.ndarray, rhs: np.ndarray):
+    """Refuse a free-level solution whose normwise backward error, in
+    1-norms, exceeds _BACKWARD_TOL: |residual| <= tol (|G| |u| + |rhs|)."""
+    scale = abs(G).sum(axis=0).max() * np.linalg.norm(u, 1) + np.linalg.norm(rhs, 1)
+    err = np.linalg.norm(residual, 1)
+    if not err <= _BACKWARD_TOL * scale:
+        raise SingularFormError(
+            f"level sweep backward error {err / max(scale, 1e-300):.1e} > {_BACKWARD_TOL:.0e}"
+        )
 
 
 def _boundary_symbol(grid: GridSpec, ngauss: int) -> np.ndarray:
@@ -334,32 +426,11 @@ def _weak_to_field(grid: GridSpec, weak: np.ndarray, ngauss: int) -> np.ndarray:
     return ifftn(grid, fftn(grid, weak) / sig)
 
 
-def _solve_sparse(G: sp.csr_matrix, rhs: np.ndarray, solver: str):
-    if solver == "direct":
-        lu = spla.splu(G.tocsc())
-        if rhs.ndim == 1:
-            return lu.solve(rhs)
-        return np.column_stack([lu.solve(rhs[:, j]) for j in range(rhs.shape[1])])
-    if solver == "iterative":
-        cols = rhs[:, None] if rhs.ndim == 1 else rhs
-        out = np.empty_like(cols)
-        ilu = spla.spilu(G.tocsc(), drop_tol=1e-6, fill_factor=20)
-        P = spla.LinearOperator(G.shape, ilu.solve)
-        for j in range(cols.shape[1]):
-            x, code = spla.lgmres(G, cols[:, j], M=P, rtol=_SOLVER_TOL, maxiter=2000)
-            if code != 0:
-                raise RuntimeError(f"iterative linear solver failed (code {code})")
-            out[:, j] = x
-        return out[:, 0] if rhs.ndim == 1 else out
-    raise ValueError(f"unknown solver {solver!r}")
-
-
 def energy_solve_neumann(
     A: CoefficientField,
     ell: np.ndarray,
     mesh: StripMesh,
     ngauss: int = 2,
-    solver: str = "direct",
 ) -> OracleSolution:
     """Variational Neumann solve: a(u, phi) = <ell, phi(0,.)> for all phi
     vanishing at t = T_max.  The conormal derivative satisfies
@@ -372,23 +443,24 @@ def energy_solve_neumann(
     if mean > 1e-10 * max(1.0, float(np.max(np.abs(ell)))):
         raise ValueError("Neumann datum must be mean-zero")
 
-    G = assemble_form(A.samples, grid, mesh.t_nodes, ngauss)
+    K, xnode = _element_matrices(A.samples, grid, mesh.t_nodes, ngauss)
+    G = _form_csr(K, xnode)
     npts = grid.npoints
     nfree = mesh.M * npts  # all t-levels except the top
-    rhs = np.zeros(mesh.n_nodes, dtype=complex)
-    rhs[:npts] = _boundary_weak(grid, ell, ngauss).ravel()
-    u_free = _solve_sparse(G[:nfree, :nfree], rhs[:nfree], solver)
+    rhs = np.zeros((mesh.M, npts), dtype=complex)
+    rhs[0] = _boundary_weak(grid, ell, ngauss).ravel()
     u = np.zeros(mesh.n_nodes, dtype=complex)
-    u[:nfree] = u_free
+    u[:nfree] = _level_sweep(K, xnode, 0, rhs).ravel()
+    Gu = G @ u
+    _check_backward_error(G, u, Gu[:nfree] - rhs.ravel(), rhs)
 
-    energy = float(np.real(np.vdot(u, G @ u)))
+    energy = float(np.real(np.vdot(u, Gu)))
     lnorm = sobolev_norm(grid, ell, -0.5)
     info = {
         "energy": energy,
         "datum_sobolev_minus_half": lnorm,
         "energy_ratio": energy / max(lnorm**2, 1e-300),
         "ngauss": ngauss,
-        "solver": solver,
     }
     return OracleSolution(mesh, u.reshape((mesh.n_tlevels,) + grid.shape), "neumann", G, info)
 
@@ -398,7 +470,6 @@ def energy_solve_regularity(
     f: np.ndarray,
     mesh: StripMesh,
     ngauss: int = 2,
-    solver: str = "direct",
     lifting: np.ndarray | None = None,
 ) -> OracleSolution:
     """Variational solve with essential data v(0,.) = f, v(T_max,.) = 0.
@@ -411,7 +482,8 @@ def energy_solve_regularity(
     f = np.ascontiguousarray(f, dtype=complex)
     if f.shape != grid.shape:
         raise ValueError("regularity datum must be a scalar grid field")
-    G = assemble_form(A.samples, grid, mesh.t_nodes, ngauss)
+    K, xnode = _element_matrices(A.samples, grid, mesh.t_nodes, ngauss)
+    G = _form_csr(K, xnode)
     npts = grid.npoints
     ntot = mesh.n_nodes
     if lifting is None:
@@ -427,10 +499,13 @@ def energy_solve_regularity(
             raise ValueError("lifting must vanish at the top boundary")
     interior = slice(npts, mesh.M * npts)
     rhs = -(G @ w)[interior]
-    u_int = _solve_sparse(G[interior, interior], rhs, solver)
+    u_int = _level_sweep(K, xnode, 1, rhs.reshape(mesh.M - 1, npts)).ravel()
     v = w.copy()
     v[interior] += u_int
-    info = {"ngauss": ngauss, "solver": solver, "energy": float(np.real(np.vdot(v, G @ v)))}
+    Gv = G @ v
+    # (G v) on the interior is G_II u_int - rhs, the residual of the sweep
+    _check_backward_error(G, u_int, Gv[interior], rhs)
+    info = {"ngauss": ngauss, "energy": float(np.real(np.vdot(v, Gv)))}
     return OracleSolution(mesh, v.reshape((mesh.n_tlevels,) + grid.shape), "regularity", G, info)
 
 
@@ -450,41 +525,26 @@ def gamma_nd_variational(
     mesh: StripMesh,
     ngauss: int = 2,
 ) -> np.ndarray:
-    """Neumann-to-Dirichlet matrix in V-coordinates, assembled column by
-    column from variational solves.
+    """Neumann-to-Dirichlet matrix in V-coordinates from the boundary Schur
+    complement of the discrete form.
 
     Column k: Neumann datum f = unit mode k of the conormal derivative
     (so the variational functional is ell = -f), tangential-gradient trace
     read spectrally from the nodal boundary values.  Output column is the
     parallel-slot coefficient vector p2 with grad_x u = -R p2, i.e.
-    p2 = -|xi| u_hat per mode.
+    p2 = -|xi| u_hat per mode.  The data sit on the boundary level alone, so
+    the boundary values are S_0^-1 applied to the weak vectors of all K unit
+    modes at once, and no interior level is solved for.
     """
     grid = A.grid
-    K = grid.nmodes
-    npts = grid.npoints
-    G = assemble_form(A.samples, grid, mesh.t_nodes, ngauss)
-    nfree = mesh.M * npts
-    lu = spla.splu(G[:nfree, :nfree].tocsc())
-
-    # weak boundary vectors of all unit-mode data at once (linear in the
-    # datum; a mode-m datum has weak vector sigma(m) e^{imx}/sqrt(L^n))
-    sig = _boundary_symbol(grid, ngauss).ravel()
-    mask = grid.nonzero_mask().ravel()
-    scale = np.sqrt(grid.L**grid.n)
-    mags = grid.mode_magnitudes()
-
-    cols = np.empty((K, K), dtype=complex)
-    rhs = np.zeros(nfree, dtype=complex)
-    for k in range(K):
-        coeff = np.zeros(K, dtype=complex)
-        coeff[k] = 1.0
-        f = coeffs_to_scalar(grid, coeff)
-        rhs[:npts] = -_boundary_weak(grid, f, ngauss).ravel()
-        u = lu.solve(rhs)
-        u0 = u[:npts].reshape(grid.shape)
-        cu = scalar_to_coeffs(grid, remove_mean(grid, u0))
-        cols[:, k] = -mags * cu
-    return cols
+    nmodes = grid.nmodes
+    K, xnode = _element_matrices(A.samples, grid, mesh.t_nodes, ngauss)
+    units = coeffs_to_scalar(grid, np.eye(nmodes))  # (nmodes,) + grid.shape
+    weak = _boundary_weak(grid, units, ngauss).reshape(nmodes, grid.npoints)
+    u0 = _level_sweep(K, xnode, 0, -weak.T, boundary_only=True)
+    return -grid.mode_magnitudes()[:, None] * scalar_to_coeffs(
+        grid, u0.T.reshape((nmodes,) + grid.shape)
+    )
 
 
 def gamma_nd_comparison(

@@ -21,6 +21,7 @@ from halfspace.grid import (
 )
 from halfspace.operators import (
     BisectorialityError,
+    InvolutionError,
     NewtonConvergenceError,
     OperatorMatrix,
     SubspaceError,
@@ -124,6 +125,10 @@ def test_spectral_projectors(grid):
     assert np.linalg.norm(Pp.matrix + Pm.matrix - eye, 2) < 1e-12
     assert np.linalg.norm(Pp.matrix @ Pp.matrix - Pp.matrix, 2) < 1e-10
     assert np.linalg.norm(Pp.matrix @ Pm.matrix, 2) < 1e-10
+    # a non-involution is a numerical failure (CLI exit 3), not a configuration one
+    with pytest.raises(InvolutionError) as exc:
+        spectral_projectors(OperatorMatrix(grid, 0.5 * sg.matrix))
+    assert isinstance(exc.value, NumericalError)
 
 
 def test_semigroup_property_and_mode_decay(grid):

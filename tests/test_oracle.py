@@ -1,17 +1,31 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
+import halfspace
 from halfspace.boundary import build_core, gamma_nd
-from halfspace.coeffs import make_family, mgamma_perturb, stream_gamma
-from halfspace.grid import GridSpec, l2_norm
+from halfspace.coeffs import FAMILY_KINDS, make_family, mgamma_perturb, stream_gamma
+from halfspace.errors import NumericalError
+from halfspace.grid import GridSpec, coeffs_to_scalar, l2_norm, scalar_to_coeffs
 from halfspace.oracle import (
     OracleSolution,
+    SingularFormError,
     StripMesh,
+    _boundary_weak,
+    _grading_ratio,
+    assemble_form,
     coercivity_check,
     energy_solve_neumann,
     energy_solve_regularity,
     extract_conormal,
     gamma_nd_comparison,
+    gamma_nd_variational,
     strip_gradient_error,
     uniqueness_probe,
 )
@@ -31,6 +45,107 @@ def test_mesh_construction(grid):
     assert mesh.t_nodes[1] <= grid.h / 2  # graded: fine first cell
     with pytest.raises(ValueError):
         StripMesh(grid, np.array([0.1, 0.2, 0.3]))  # must start at 0
+
+
+@pytest.mark.parametrize("N,M", [(8, 12), (32, 64), (64, 256)])
+def test_graded_mesh_ratio_solves_the_length_equation(N, M):
+    grid = GridSpec(n=1, N=N, L=2 * np.pi)
+    T, d0 = 8 * grid.L, grid.h / 4
+    r = _grading_ratio(d0, M, T)
+    assert abs(d0 * (r**M - 1) / (r - 1) - T) <= 1e-12 * T
+    mesh = StripMesh.graded(grid, M)
+    assert mesh.t_nodes[-1] == T
+    assert np.isclose(mesh.t_nodes[1], d0, rtol=1e-15)
+
+
+def test_graded_mesh_imports_no_root_finder():
+    src = str(Path(halfspace.__file__).resolve().parents[1])
+    code = (
+        "import sys, numpy as np, halfspace\n"
+        "from halfspace.oracle import StripMesh\n"
+        "StripMesh.graded(halfspace.GridSpec(n=1, N=32, L=2 * np.pi), 64)\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+# The level sweep against a general sparse LU of the same free form.
+REFEREE_MESHES = [(1, 32, 96), (2, 8, 16)]
+
+
+def _referee_case(n, N, M, kind, seed):
+    grid = GridSpec(n=n, N=N, L=2 * np.pi)
+    A = make_family(grid, kind, seed=seed)
+    mesh = StripMesh.graded(grid, M)
+    G = assemble_form(A.samples, grid, mesh.t_nodes)
+    return grid, A, mesh, G, np.random.default_rng(100 * seed + N)
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@pytest.mark.parametrize("n,N,M", REFEREE_MESHES)
+def test_level_sweep_matches_sparse_lu(n, N, M, kind, seed):
+    grid, A, mesh, G, rng = _referee_case(n, N, M, kind, seed)
+    npts = grid.npoints
+    nfree = mesh.M * npts
+
+    # Neumann: data on the boundary level, all levels but the top free
+    ell = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    ell -= ell.mean()
+    rhs = np.zeros(nfree, dtype=complex)
+    rhs[:npts] = _boundary_weak(grid, ell, 2).ravel()
+    ref = splu(G[:nfree, :nfree].tocsc()).solve(rhs)
+    got = energy_solve_neumann(A, ell, mesh).values.ravel()
+    assert _rel(got[:nfree], ref) <= 1e-11
+    assert np.all(got[nfree:] == 0)
+
+    # regularity: a random lifting puts data on every interior level
+    f = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    lift = np.zeros((mesh.n_tlevels,) + grid.shape, dtype=complex)
+    lift[0] = f
+    lift[1:-1] = rng.standard_normal((mesh.M - 1,) + grid.shape)
+    w = lift.ravel()
+    interior = slice(npts, nfree)
+    ref = w.copy()
+    ref[interior] += splu(G[interior, interior].tocsc()).solve(-(G @ w)[interior])
+    got = energy_solve_regularity(A, f, mesh, lifting=lift).values.ravel()
+    assert _rel(got, ref) <= 1e-11
+
+    # Neumann-to-Dirichlet map, one sparse solve per unit mode
+    lu = splu(G[:nfree, :nfree].tocsc())
+    K = grid.nmodes
+    ref = np.empty((K, K), dtype=complex)
+    for k in range(K):
+        datum = coeffs_to_scalar(grid, np.eye(K)[:, k])
+        rhs[:npts] = -_boundary_weak(grid, datum, 2).ravel()
+        u0 = lu.solve(rhs)[:npts].reshape(grid.shape)
+        ref[:, k] = -grid.mode_magnitudes() * scalar_to_coeffs(grid, u0)
+    assert _rel(gamma_nd_variational(A, mesh), ref) <= 1e-11
+
+
+def test_singular_form_is_a_numerical_error(grid):
+    # a zero form has a zero pivot on the top free level
+    mesh = StripMesh.graded(grid, 16)
+    zero = SimpleNamespace(grid=grid, samples=np.zeros(grid.shape + (2, 2), dtype=complex))
+    ell = np.cos(grid.points()[0]).astype(complex)
+    for solve in (
+        lambda: energy_solve_neumann(zero, ell, mesh),
+        lambda: energy_solve_regularity(zero, ell, mesh),
+        lambda: gamma_nd_variational(zero, mesh),
+    ):
+        with pytest.raises(SingularFormError) as exc:
+            solve()
+        assert isinstance(exc.value, NumericalError)
+    # a solution that fails the backward error check is refused the same way
+    bad = SimpleNamespace(grid=grid, samples=make_family(grid, "constant").samples.copy())
+    bad.samples[0, 0, 0] = np.nan
+    with pytest.raises(SingularFormError):
+        energy_solve_neumann(bad, ell, mesh)
 
 
 def test_neumann_poisson_discretization_error(grid):
