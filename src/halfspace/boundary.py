@@ -35,6 +35,7 @@ __all__ = [
     "gamma_nd",
     "gamma_dn",
     "gamma_minus",
+    "block_floors",
     "key_lemma_check",
     "rellich_constant",
     "rellich_from_blocks",
@@ -42,6 +43,8 @@ __all__ = [
 ]
 
 DEFAULT_SV_FLOOR = 1e-8
+# the key lemma's blocks count as invertible above this weighted floor
+KEY_LEMMA_FLOOR = 1e-6
 
 
 class SingularBlockError(NumericalError):
@@ -76,8 +79,9 @@ class SpectralCore:
     """Everything built from one coefficient field A: B = hat(A), S, calB,
     T = calB S, uT = S calB and the blocks of sgn(uT).  On the eigen route
     the factorization behind the blocks stays on uT, so later spectral maps
-    of uT reuse it; calB.margin_bound is the accretivity of calB and
-    uT.margin_bound the certified spectral margin of uT."""
+    of uT reuse it; calB.margin_bound is the pointwise accretivity of B,
+    a lower bound on that of calB, and uT.margin_bound the certified
+    spectral margin of uT."""
 
     B: CoefficientField
     S: OperatorMatrix
@@ -185,24 +189,13 @@ def gamma_minus(
     return -G
 
 
-def key_lemma_check(
-    blocks: SgnBlocks,
-    s: float = -0.5,
-    floor: float = 1e-6,
-    n_vectors: int = 50,
-    seed: int = 0,
-) -> dict:
-    """Invertibility floors for the six block operators, plus the projector
-    norm comparisons used alongside them.
-
-    Returns minimum weighted singular values of s12, s21, s11 +- I,
-    s22 +- I and the min/max ratios ||Q+ P_pm u|| / ||P_pm u|| over random
-    vectors (Q+ the projection on the perpendicular slot).
-    """
+def block_floors(blocks: SgnBlocks, s: float = -0.5) -> dict:
+    """Minimum weighted singular values of the six block operators s12, s21,
+    s11 +- I and s22 +- I at topology s: the invertibility floors of the key
+    lemma."""
     grid = blocks.grid
-    K = grid.nmodes
-    eye = np.eye(K)
-    svs = {
+    eye = np.eye(grid.nmodes)
+    return {
         "s12": _min_sv(grid, blocks.s12, s),
         "s21": _min_sv(grid, blocks.s21, s),
         "s11_plus_I": _min_sv(grid, blocks.s11 + eye, s),
@@ -210,6 +203,25 @@ def key_lemma_check(
         "s22_plus_I": _min_sv(grid, blocks.s22 + eye, s),
         "s22_minus_I": _min_sv(grid, blocks.s22 - eye, s),
     }
+
+
+def key_lemma_check(
+    blocks: SgnBlocks,
+    s: float = -0.5,
+    floor: float = KEY_LEMMA_FLOOR,
+    n_vectors: int = 50,
+    seed: int = 0,
+) -> dict:
+    """Invertibility floors for the six block operators (block_floors), plus
+    the projector norm comparisons used alongside them.
+
+    Returns minimum weighted singular values of s12, s21, s11 +- I,
+    s22 +- I and the min/max ratios ||Q+ P_pm u|| / ||P_pm u|| over random
+    vectors (Q+ the projection on the perpendicular slot).
+    """
+    grid = blocks.grid
+    K = grid.nmodes
+    svs = block_floors(blocks, s)
     sgn = OperatorMatrix(grid, blocks.reassemble())
     P_plus, P_minus = spectral_projectors(sgn)
     w = np.concatenate([mode_weights(grid, s)] * 2)

@@ -20,6 +20,7 @@ __all__ = [
     "CoefficientField",
     "NonAccretiveError",
     "accretivity_bound",
+    "hat_involution_error",
     "hat_transform",
     "make_family",
     "mgamma_perturb",
@@ -61,6 +62,34 @@ def _hermitian_min_eig(samples: np.ndarray) -> float:
     return float(np.min(np.linalg.eigvalsh(herm)))
 
 
+def _strict_accretivity(samples: np.ndarray) -> float:
+    """Least Hermitian eigenvalue of a (..., 1+n, 1+n) sample array, which
+    must be finite and strictly accretive."""
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("non-finite coefficient samples")
+    lamb = _hermitian_min_eig(samples)
+    if lamb <= 0:
+        raise NonAccretiveError(
+            f"coefficient field is not strictly accretive (min eig {lamb:.3e})"
+        )
+    return lamb
+
+
+def _hat(samples: np.ndarray) -> np.ndarray:
+    """The hat transform of a (..., 1+n, 1+n) sample array, point by point."""
+    a, b = samples[..., 0, 0], samples[..., 0, 1:]
+    c, d = samples[..., 1:, 0], samples[..., 1:, 1:]
+    if np.min(np.abs(a)) < _SINGULAR_FLOOR:
+        raise ValueError("scalar block a(x) is numerically singular")
+    ainv = 1.0 / a
+    out = np.empty_like(samples)
+    out[..., 0, 0] = ainv
+    out[..., 0, 1:] = -ainv[..., None] * b
+    out[..., 1:, 0] = c * ainv[..., None]
+    out[..., 1:, 1:] = d - c[..., :, None] * ainv[..., None, None] * b[..., None, :]
+    return out
+
+
 @dataclass(frozen=True)
 class CoefficientField:
     """Grid samples of A(x) with accretivity metadata.
@@ -80,31 +109,13 @@ class CoefficientField:
         samples = np.ascontiguousarray(self.samples, dtype=complex)
         if samples.shape != expected:
             raise ValueError(f"samples shape {samples.shape} != {expected}")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("non-finite coefficient samples")
         object.__setattr__(self, "samples", samples)
-        lamb = _hermitian_min_eig(samples)
-        if lamb <= 0:
-            raise NonAccretiveError(
-                f"coefficient field is not strictly accretive (min eig {lamb:.3e})"
-            )
+        lamb = _strict_accretivity(samples)
         Lamb = float(np.max(np.linalg.norm(samples, ord=2, axis=(-2, -1))))
         object.__setattr__(self, "lamb", lamb)
         object.__setattr__(self, "Lamb", Lamb)
         object.__setattr__(self, "block_class", _classify(samples))
         samples.setflags(write=False)
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.samples[..., 0, 0]
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.samples[..., 0, 1:]
-
-    @property
-    def c(self) -> np.ndarray:
-        return self.samples[..., 1:, 0]
 
     @property
     def d(self) -> np.ndarray:
@@ -118,17 +129,28 @@ def accretivity_bound(A: CoefficientField) -> float:
 
 def hat_transform(A: CoefficientField) -> CoefficientField:
     """Self-inverse block transform [[a^-1, -a^-1 b], [c a^-1, d - c a^-1 b]]."""
-    a = A.a
-    if np.min(np.abs(a)) < _SINGULAR_FLOOR:
-        raise ValueError("scalar block a(x) is numerically singular")
-    n = A.grid.n
-    ainv = 1.0 / a
-    out = np.empty_like(A.samples)
-    out[..., 0, 0] = ainv
-    out[..., 0, 1:] = -ainv[..., None] * A.b
-    out[..., 1:, 0] = A.c * ainv[..., None]
-    out[..., 1:, 1:] = A.d - A.c[..., :, None] * ainv[..., None, None] * A.b[..., None, :]
-    return CoefficientField(A.grid, out)
+    return CoefficientField(A.grid, _hat(A.samples))
+
+
+def hat_involution_error(bases: np.ndarray, lamb_floor: float = 0.5) -> float:
+    """max |hat(hat(A)) - A| over a stack of coefficient matrices A of shape
+    (..., 1+n, 1+n).
+
+    Each matrix goes through the checks of make_family(grid, "constant",
+    base=A) followed by two hat_transforms, applied to the whole stack:
+    finite entries, the accretivity floor of A, a nonsingular scalar block
+    and strict accretivity of A, hat(A) and hat(hat(A)).  A constant field
+    repeats its matrix at every grid point, so the value equals the maximum
+    over that route's fields.
+    """
+    A = np.asarray(bases, dtype=complex)
+    if _strict_accretivity(A) < lamb_floor - 1e-12:
+        raise ValueError("constant matrix violates the requested accretivity floor")
+    B = _hat(A)
+    _strict_accretivity(B)
+    BB = _hat(B)
+    _strict_accretivity(BB)
+    return float(np.max(np.abs(BB - A)))
 
 
 def _rng_complex(rng: np.random.Generator, shape) -> np.ndarray:

@@ -13,6 +13,7 @@ dense matrix of dimension 2*(N^n - 1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,6 +41,26 @@ TWO_PI = 2.0 * np.pi
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _kept(build):
+    """Decorate a one-argument grid array builder: the array is built on the
+    first call and kept, read-only, in the grid's __dict__ (as
+    operators.decompose keeps its result).  The dataclass fields, and with
+    them equality, hashing and replace, are untouched."""
+    key = build.__qualname__
+
+    @functools.wraps(build)
+    def get(grid):
+        arr = grid.__dict__.get(key)
+        if arr is None:
+            arr = build(grid)
+            arr.setflags(write=False)
+            # the dataclass is frozen; its __setattr__ guards the fields
+            grid.__dict__[key] = arr
+        return arr
+
+    return get
 
 
 @dataclass(frozen=True)
@@ -79,6 +100,7 @@ class GridSpec:
     def cell_volume(self) -> float:
         return (self.L / self.N) ** self.n
 
+    @_kept
     def points(self) -> np.ndarray:
         """Physical coordinates, shape (n,) + shape."""
         x = np.arange(self.N) * self.h
@@ -87,6 +109,7 @@ class GridSpec:
         X1, X2 = np.meshgrid(x, x, indexing="ij")
         return np.stack([X1, X2])
 
+    @_kept
     def frequencies(self) -> np.ndarray:
         """Angular frequencies per axis, shape (n,) + shape."""
         k = np.fft.fftfreq(self.N, d=1.0 / self.N) * (TWO_PI / self.L)
@@ -95,13 +118,16 @@ class GridSpec:
         K1, K2 = np.meshgrid(k, k, indexing="ij")
         return np.stack([K1, K2])
 
+    @_kept
     def freq_magnitude(self) -> np.ndarray:
         xi = self.frequencies()
         return np.sqrt(np.sum(xi**2, axis=0))
 
+    @_kept
     def nonzero_mask(self) -> np.ndarray:
         return self.freq_magnitude() > 0
 
+    @_kept
     def mode_magnitudes(self) -> np.ndarray:
         m = self.freq_magnitude().ravel()
         return m[m > 0]
@@ -333,6 +359,7 @@ def field_to_vcoords(field: BoundaryField) -> np.ndarray:
     )
 
 
+@_kept
 def _v_symbols(grid: GridSpec) -> np.ndarray:
     """Per-mode unit symbols i*xi_j/|xi| over the full frequency grid."""
     xi = grid.frequencies()

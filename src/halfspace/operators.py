@@ -49,9 +49,9 @@ MARGIN_FLOOR = 1e-8
 COND_LIMIT = 1e8
 # A certified margin (OperatorMatrix.margin_bound) above this multiple of
 # MARGIN_FLOOR passes the bisectoriality gate without an eigvals call.  The
-# bound is exact for the computed matrices, but its kappa comes from
-# eigvalsh, whose absolute error is about eps ||calB||; the factor 100 keeps
-# the decision far from that rounding.
+# bound holds in exact arithmetic, but its accretivity comes from pointwise
+# eigvalsh calls and the computed calB is a rounded compression, each off by
+# about eps ||B||; the factor 100 keeps the decision far from that rounding.
 CERTIFICATE_SAFETY = 100.0
 
 
@@ -242,8 +242,13 @@ def _gather(grid: GridSpec, samples: np.ndarray, left, right) -> np.ndarray:
 def assemble_calB(B: CoefficientField, accretivity_floor: float = 1e-10) -> OperatorMatrix:
     """Compressed multiplication operator Pi B Pi in V-coordinates.
 
-    Its margin_bound is the accretivity kappa, the least eigenvalue of its
-    Hermitian part: every eigenvalue has Re lambda >= kappa.
+    Its margin_bound is B.lamb, the pointwise accretivity of B.  V is an
+    isometry onto H0 and the gather is the exact discrete compression, so
+    v* calB v = <B Vv, Vv> >= B.lamb |v|^2: the accretivity kappa of calB,
+    the least eigenvalue of its Hermitian part, is at least B.lamb, and
+    every eigenvalue has Re lambda >= B.lamb.  Only when B.lamb is below
+    accretivity_floor is kappa computed, densely; calB is refused when it
+    is below the floor too, and is otherwise its margin_bound.
     """
     grid = B.grid
     # V = [[I, 0], [0, -R]]: the perpendicular slot is component 0 with
@@ -254,23 +259,24 @@ def assemble_calB(B: CoefficientField, accretivity_floor: float = 1e-10) -> Oper
         [_gather(grid, B.samples, perp, perp), _gather(grid, B.samples, perp, par)],
         [_gather(grid, B.samples, par, perp), _gather(grid, B.samples, par, par)],
     ])
-    herm = 0.5 * (m + m.conj().T)
-    lam_min = float(np.min(np.linalg.eigvalsh(herm)))
-    if lam_min < accretivity_floor:
-        raise NonAccretiveError(
-            f"compressed coefficient operator is not accretive on H0 "
-            f"(min Hermitian eigenvalue {lam_min:.3e})"
-        )
-    return OperatorMatrix(grid, m, lam_min)
+    lamb = B.lamb
+    if lamb < accretivity_floor:
+        lamb = float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
+        if lamb < accretivity_floor:
+            raise NonAccretiveError(
+                f"compressed coefficient operator is not accretive on H0 "
+                f"(min Hermitian eigenvalue {lamb:.3e})"
+            )
+    return OperatorMatrix(grid, m, lamb)
 
 
 def assemble_operators(B: CoefficientField):
     """(S, calB, T, uT) for a first-order coefficient field B.
 
-    T and uT carry the certified margin kappa min|xi|: from uT v = lambda v,
-    v* calB v = lambda v* S^-1 v with v* S^-1 v real and at most
-    |v|^2 / min|xi| in size, so |Re lambda| >= kappa min|xi|; T = S^-1 uT S
-    has the same spectrum.
+    T and uT carry the certified margin kappa min|xi|, kappa =
+    calB.margin_bound: from uT v = lambda v, v* calB v = lambda v* S^-1 v
+    with v* S^-1 v real and at most |v|^2 / min|xi| in size, so
+    |Re lambda| >= kappa min|xi|; T = S^-1 uT S has the same spectrum.
     """
     grid = B.grid
     calB = assemble_calB(B)

@@ -3,6 +3,7 @@ import pytest
 
 from halfspace.boundary import (
     SingularBlockError,
+    block_floors,
     build_core,
     gamma_dn,
     gamma_minus,
@@ -71,6 +72,15 @@ def test_key_lemma_floors(grid):
     assert rep["involution_defect"] < 1e-8
     lo, hi = rep["perp_ratio_plus"]
     assert 0.0 < lo <= hi <= 1.0 + 1e-10
+
+
+@pytest.mark.parametrize("s", [-0.5, 0.0])
+def test_key_lemma_floors_are_block_floors(s):
+    grid = GridSpec(n=2, N=8, L=2 * np.pi)
+    _, blocks = blocks_for(grid, "lower_triangular_random", seed=1)
+    floors = block_floors(blocks, s)
+    assert key_lemma_check(blocks, s)["min_singular_values"] == floors
+    assert all(v > 0 for v in floors.values())
 
 
 def test_rellich_identity_coefficients(grid):

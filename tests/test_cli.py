@@ -5,7 +5,14 @@ import pytest
 
 from halfspace import boundary, cli
 from halfspace.cli import ExperimentConfig, build_config, item_seed, main
-from halfspace.coeffs import NonAccretiveError
+from halfspace.coeffs import (
+    CoefficientField,
+    NonAccretiveError,
+    hat_involution_error,
+    hat_transform,
+    make_family,
+)
+from halfspace.grid import GridSpec
 from halfspace.operators import SubspaceError
 
 
@@ -206,3 +213,66 @@ def test_numerical_error_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "make_family", non_accretive)
     assert run(["verify", "--grid", "8", "--out", str(tmp_path)]) == 1
     assert run(["norms", "--grid", "8", "--out", str(tmp_path)]) == 3
+
+
+def _per_field_hat_sweep(grid, bases, lamb_floor=0.5):
+    # the sweep as one constant field per matrix, hat-transformed twice
+    worst = 0.0
+    for base in bases:
+        A = make_family(grid, "constant", base=base, lamb_floor=lamb_floor)
+        worst = max(worst, float(np.max(np.abs(hat_transform(hat_transform(A)).samples
+                                               - A.samples))))
+    return worst
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_hat_sweep_matches_per_field_route(n, seed):
+    bases = cli._hat_sweep_bases(n, seed, 200)
+    assert bases.shape == (200, 1 + n, 1 + n)
+    reference = _per_field_hat_sweep(GridSpec(n=n, N=8), bases)
+    assert hat_involution_error(bases) == reference
+
+
+@pytest.mark.parametrize("bad, floor, error", [
+    (-np.eye(3), 0.5, NonAccretiveError),
+    # a = 0 leaves the matrix not strictly accretive, which both routes check first
+    (np.diag([0.0, 1.0, 1.0]), 0.5, NonAccretiveError),
+    # strictly accretive with a numerically singular scalar block
+    (np.diag([1e-11, 1.0, 1.0]), 1e-12, ValueError),
+    (np.diag([0.4, 1.0, 1.0]), 0.5, ValueError),  # below the accretivity floor
+    (np.full((3, 3), np.nan), 0.5, ValueError),
+])
+def test_hat_sweep_refuses_as_the_per_field_route(bad, floor, error):
+    bases = cli._hat_sweep_bases(2, 0, 20)
+    bases[7] = bad
+    with pytest.raises(error):
+        hat_involution_error(bases, lamb_floor=floor)
+    with pytest.raises(error):
+        _per_field_hat_sweep(GridSpec(n=2, N=8), bases, lamb_floor=floor)
+
+
+def test_verify_builds_fields_only_for_corpus_items(tmp_path, monkeypatch):
+    built, per_item = [], []
+    post_init = CoefficientField.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    verify_item = cli._verify_item
+
+    def counting_item(args):
+        before = len(built)
+        row = verify_item(args)
+        per_item.append(len(built) - before)
+        return row
+
+    monkeypatch.setattr(CoefficientField, "__post_init__", counting_post_init)
+    monkeypatch.setattr(cli, "_verify_item", counting_item)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n": 2, "options": {"per_family": 1}}))
+    assert run(["verify", "--config", str(cfg), "--grid", "8", "--out", str(tmp_path)]) == 0
+    # the family, its hat and the hat of that; the hat sweep builds none
+    assert len(per_item) == 6 and max(per_item) <= 3
+    assert len(built) == sum(per_item)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from halfspace.grid import (
     BoundaryField,
     GridSpec,
+    _v_symbols,
     coeffs_to_scalar,
     field_to_vcoords,
     fftn,
@@ -40,6 +43,35 @@ def test_grid_validation(n, N):
         GridSpec(n=n, N=4, L=2 * np.pi)  # below the minimum
     with pytest.raises(ValueError):
         GridSpec(n=3, N=N, L=2 * np.pi)
+
+
+GRID_ARRAYS = ("points", "frequencies", "freq_magnitude", "nonzero_mask", "mode_magnitudes")
+
+
+def _grid_arrays(g):
+    return [getattr(g, name)() for name in GRID_ARRAYS] + [_v_symbols(g)]
+
+
+def _fresh_arrays(g):
+    return ([getattr(GridSpec, name).__wrapped__(g) for name in GRID_ARRAYS]
+            + [_v_symbols.__wrapped__(g)])
+
+
+@pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
+def test_grid_arrays_are_kept_read_only(n, N):
+    g = GridSpec(n=n, N=N)
+    kept = _grid_arrays(g)
+    for arr, fresh, again in zip(kept, _fresh_arrays(g), _grid_arrays(g)):
+        assert arr is again
+        assert arr.dtype == fresh.dtype and np.array_equal(arr, fresh)
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1
+    # equality and hashing see the fields only
+    assert g == GridSpec(n=n, N=N) and hash(g) == hash(GridSpec(n=n, N=N))
+    other = replace(g, L=1.0)
+    for arr, mine, fresh in zip(kept, _grid_arrays(other), _fresh_arrays(other)):
+        assert mine is not arr and np.array_equal(mine, fresh)
+    assert all(a is not b for a, b in zip(kept, _grid_arrays(replace(g))))
 
 
 def test_l2_norm_matches_parseval():

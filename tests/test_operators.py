@@ -6,7 +6,7 @@ import pytest
 
 from halfspace.boundary import build_core
 from halfspace import operators
-from halfspace.coeffs import FAMILY_KINDS, hat_transform, make_family
+from halfspace.coeffs import FAMILY_KINDS, NonAccretiveError, hat_transform, make_family
 from halfspace.errors import NumericalError
 from halfspace.grid import (
     BoundaryField,
@@ -171,19 +171,35 @@ def test_bisectoriality_guard(grid, method):
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
 @pytest.mark.parametrize("N", [32, 64])
 def test_accretivity_certifies_the_spectral_margin(kind, N):
-    # |Re lambda| >= kappa min|xi| for every eigenvalue of uT and of T
+    # |Re lambda| >= B.lamb min|xi| for every eigenvalue of uT and of T, and
+    # the pointwise B.lamb bounds the accretivity kappa of calB from below
     grid = GridSpec(n=1, N=N, L=2 * np.pi)
     for seed in (0, 1, 2):
-        _, (S, calB, T, uT) = ops_for(grid, kind, seed=seed)
+        B = hat_transform(make_family(grid, kind, seed=seed))
+        S, calB, T, uT = assemble_operators(B)
         herm = 0.5 * (calB.matrix + calB.matrix.conj().T)
-        bound = np.min(np.linalg.eigvalsh(herm)) * np.min(grid.mode_magnitudes())
-        assert uT.margin_bound == T.margin_bound
-        assert abs(uT.margin_bound - bound) <= 1e-14 * bound
+        kappa = np.min(np.linalg.eigvalsh(herm))
+        min_xi = np.min(grid.mode_magnitudes())
+        bound = B.lamb * min_xi
+        assert calB.margin_bound == B.lamb
+        assert uT.margin_bound == T.margin_bound == bound
+        assert bound <= kappa * min_xi * (1 + 1e-12)
         for op in (uT, T):
             margin = np.min(np.abs(np.linalg.eigvals(op.matrix).real))
             assert margin >= (1 - 1e-10) * bound, (kind, N, seed)
             if kind == "constant":
                 assert abs(margin - bound) <= 1e-12 * bound
+
+
+def test_calB_refusal_decided_on_dense_accretivity(grid):
+    # below the floor B.lamb decides nothing: the dense kappa >= B.lamb does
+    B = hat_transform(make_family(grid, "lower_triangular_random", seed=0))
+    m = assemble_calB(B).matrix
+    kappa = float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
+    assert B.lamb < kappa
+    assert assemble_calB(B, accretivity_floor=0.5 * (B.lamb + kappa)).margin_bound == kappa
+    with pytest.raises(NonAccretiveError):
+        assemble_calB(B, accretivity_floor=2 * kappa)
 
 
 def test_newton_non_convergence_is_typed(grid):
