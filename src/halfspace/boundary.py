@@ -36,6 +36,7 @@ __all__ = [
     "gamma_dn",
     "gamma_minus",
     "block_floors",
+    "floors_above",
     "key_lemma_check",
     "rellich_constant",
     "rellich_from_blocks",
@@ -205,6 +206,11 @@ def block_floors(blocks: SgnBlocks, s: float = -0.5) -> dict:
     }
 
 
+def floors_above(floors: dict, floor: float = KEY_LEMMA_FLOOR) -> bool:
+    """Whether every block floor exceeds the key lemma's invertibility floor."""
+    return all(v > floor for v in floors.values())
+
+
 def key_lemma_check(
     blocks: SgnBlocks,
     s: float = -0.5,
@@ -240,7 +246,7 @@ def key_lemma_check(
     report = {
         "min_singular_values": svs,
         "floor": floor,
-        "all_above_floor": all(v > floor for v in svs.values()),
+        "all_above_floor": floors_above(svs, floor),
         "perp_ratio_plus": (min(ratios["plus"]), max(ratios["plus"])),
         "perp_ratio_minus": (min(ratios["minus"]), max(ratios["minus"])),
         "involution_defect": blocks.involution_defect(),

@@ -24,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from .boundary import (
-    KEY_LEMMA_FLOOR,
     SingularBlockError,
     block_floors,
     build_core,
+    floors_above,
     gamma_dn,
     gamma_nd,
     rellich_from_blocks,
@@ -191,7 +191,7 @@ def _verify_item(args: tuple) -> dict:
         out["inverse_relation"] = float("inf")
     floors = block_floors(blocks)
     out["key_lemma_min_sv"] = float(min(floors.values()))
-    out["key_lemma_ok"] = all(v > KEY_LEMMA_FLOOR for v in floors.values())
+    out["key_lemma_ok"] = floors_above(floors)
     if A.block_class == "block_diagonal":
         kato = kato_check(grid, A.d, n_samples=10, seed=seed)
         out["kato_min_ratio"] = kato["min_ratio"]

@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 _SINGULAR_FLOOR = 1e-10
+# make_family's default accretivity floor, also the hat sweep's
+_LAMB_FLOOR = 0.5
 
 FAMILY_KINDS = (
     "constant",
@@ -132,7 +134,7 @@ def hat_transform(A: CoefficientField) -> CoefficientField:
     return CoefficientField(A.grid, _hat(A.samples))
 
 
-def hat_involution_error(bases: np.ndarray, lamb_floor: float = 0.5) -> float:
+def hat_involution_error(bases: np.ndarray) -> float:
     """max |hat(hat(A)) - A| over a stack of coefficient matrices A of shape
     (..., 1+n, 1+n).
 
@@ -144,7 +146,7 @@ def hat_involution_error(bases: np.ndarray, lamb_floor: float = 0.5) -> float:
     over that route's fields.
     """
     A = np.asarray(bases, dtype=complex)
-    if _strict_accretivity(A) < lamb_floor - 1e-12:
+    if _strict_accretivity(A) < _LAMB_FLOOR - 1e-12:
         raise ValueError("constant matrix violates the requested accretivity floor")
     B = _hat(A)
     _strict_accretivity(B)
@@ -182,7 +184,7 @@ def make_family(
     grid: GridSpec,
     kind: str,
     seed: int = 0,
-    lamb_floor: float = 0.5,
+    lamb_floor: float = _LAMB_FLOOR,
     Lamb_cap: float = 2.0,
     amplitude: float = 0.3,
     base: np.ndarray | None = None,

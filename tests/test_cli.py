@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from halfspace import boundary, cli
+from halfspace import boundary, cli, coeffs
 from halfspace.cli import ExperimentConfig, build_config, item_seed, main
 from halfspace.coeffs import (
     CoefficientField,
@@ -215,11 +215,11 @@ def test_numerical_error_exit_code(tmp_path, monkeypatch):
     assert run(["norms", "--grid", "8", "--out", str(tmp_path)]) == 3
 
 
-def _per_field_hat_sweep(grid, bases, lamb_floor=0.5):
+def _per_field_hat_sweep(grid, bases):
     # the sweep as one constant field per matrix, hat-transformed twice
     worst = 0.0
     for base in bases:
-        A = make_family(grid, "constant", base=base, lamb_floor=lamb_floor)
+        A = make_family(grid, "constant", base=base)
         worst = max(worst, float(np.max(np.abs(hat_transform(hat_transform(A)).samples
                                                - A.samples))))
     return worst
@@ -234,22 +234,27 @@ def test_hat_sweep_matches_per_field_route(n, seed):
     assert hat_involution_error(bases) == reference
 
 
-@pytest.mark.parametrize("bad, floor, error", [
-    (-np.eye(3), 0.5, NonAccretiveError),
+@pytest.mark.parametrize("bad, singular_floor, error", [
+    (-np.eye(3), None, NonAccretiveError),
     # a = 0 leaves the matrix not strictly accretive, which both routes check first
-    (np.diag([0.0, 1.0, 1.0]), 0.5, NonAccretiveError),
-    # strictly accretive with a numerically singular scalar block
-    (np.diag([1e-11, 1.0, 1.0]), 1e-12, ValueError),
-    (np.diag([0.4, 1.0, 1.0]), 0.5, ValueError),  # below the accretivity floor
-    (np.full((3, 3), np.nan), 0.5, ValueError),
+    (np.diag([0.0, 1.0, 1.0]), None, NonAccretiveError),
+    # above the accretivity floor, with a scalar block below a raised
+    # singularity floor; every |a| and |1/a| of the other matrices exceeds 0.51
+    (np.diag([0.5, 1.0, 1.0]), 0.51, ValueError),
+    (np.diag([0.4, 1.0, 1.0]), None, ValueError),  # below the accretivity floor
+    (np.full((3, 3), np.nan), None, ValueError),
 ])
-def test_hat_sweep_refuses_as_the_per_field_route(bad, floor, error):
+def test_hat_sweep_refuses_as_the_per_field_route(bad, singular_floor, error, monkeypatch):
+    if singular_floor is not None:
+        monkeypatch.setattr(coeffs, "_SINGULAR_FLOOR", singular_floor)
     bases = cli._hat_sweep_bases(2, 0, 20)
+    # the stack passes without the bad matrix
+    assert hat_involution_error(bases) == _per_field_hat_sweep(GridSpec(n=2, N=8), bases)
     bases[7] = bad
     with pytest.raises(error):
-        hat_involution_error(bases, lamb_floor=floor)
+        hat_involution_error(bases)
     with pytest.raises(error):
-        _per_field_hat_sweep(GridSpec(n=2, N=8), bases, lamb_floor=floor)
+        _per_field_hat_sweep(GridSpec(n=2, N=8), bases)
 
 
 def test_verify_builds_fields_only_for_corpus_items(tmp_path, monkeypatch):
