@@ -58,7 +58,6 @@ from .boundary import (
     gamma_dn,
     gamma_minus,
     gamma_nd,
-    key_lemma_check,
     rellich_constant,
     rellich_from_blocks,
     sgn_blocks,

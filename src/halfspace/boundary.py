@@ -22,8 +22,7 @@ from .operators import (
     OperatorMatrix,
     assemble_operators,
     matrix_sign,
-    mode_weights,
-    spectral_projectors,
+    weighted,
     weighted_norm,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "gamma_minus",
     "block_floors",
     "floors_above",
-    "key_lemma_check",
     "rellich_constant",
     "rellich_from_blocks",
     "SingularBlockError",
@@ -80,9 +78,9 @@ class SpectralCore:
     """Everything built from one coefficient field A: B = hat(A), S, calB,
     T = calB S, uT = S calB and the blocks of sgn(uT).  On the eigen route
     the factorization behind the blocks stays on uT, so later spectral maps
-    of uT reuse it; calB.margin_bound is the pointwise accretivity of B,
-    a lower bound on that of calB, and uT.margin_bound the certified
-    spectral margin of uT."""
+    of uT reuse it, and the core itself stays on A (see build_core);
+    calB.margin_bound is the pointwise accretivity of B, a lower bound on
+    that of calB, and uT.margin_bound the certified spectral margin of uT."""
 
     B: CoefficientField
     S: OperatorMatrix
@@ -95,23 +93,29 @@ class SpectralCore:
 def build_core(A: CoefficientField, method: str = "eigen") -> SpectralCore:
     """Assemble the first-order operators for A and the blocks of sgn(uT).
 
-    method="newton" suits callers that need only the sign blocks: it makes
-    no eigendecomposition.  Callers that go on to semigroups, fractional
-    powers or quadratic norms of uT keep the default, whose eigendecomposition
-    those maps reuse.
+    The default eigen route builds its core on first use and keeps it on A,
+    as decompose keeps its result on the operator: every solve and map of
+    A then shares one eigendecomposition, the core is freed with A, and an
+    equal twin of A is built afresh.  method="newton" suits callers that
+    need only the sign blocks: it makes no eigendecomposition, and its core
+    is not kept, because each serves one Gamma computation and keeping it
+    would hold its operators as long as A.
     """
+    if method == "eigen":
+        core = A.__dict__.get("_core")
+        if core is not None:
+            return core
     B = hat_transform(A)
     S, calB, T, uT = assemble_operators(B)
-    return SpectralCore(B, S, calB, T, uT, sgn_blocks(uT, method=method))
-
-
-def _weighted(grid: GridSpec, M: np.ndarray, s: float) -> np.ndarray:
-    w = mode_weights(grid, s)
-    return (w[:, None] * M) / w[None, :]
+    core = SpectralCore(B, S, calB, T, uT, sgn_blocks(uT, method=method))
+    if method == "eigen":
+        # the dataclass is frozen; its __setattr__ guards the fields, not __dict__
+        A.__dict__["_core"] = core
+    return core
 
 
 def _min_sv(grid: GridSpec, M: np.ndarray, s: float) -> float:
-    return float(np.linalg.svd(_weighted(grid, M, s), compute_uv=False)[-1])
+    return float(np.linalg.svd(weighted(grid, M, s), compute_uv=False)[-1])
 
 
 def _solve_block(
@@ -131,6 +135,28 @@ def _solve_block(
     return np.linalg.solve(lhs, rhs)
 
 
+def _gamma(
+    blocks: SgnBlocks, slots: str, what: str, s: float, floor: float,
+    check_agreement: bool,
+) -> np.ndarray:
+    """The boundary map spq^-1 (I - spp) from slot p to slot q, for blocks
+    ordered with slot p first (s11 holds spp, s12 holds spq), optionally
+    checked against its second factorization (I - sqq)^-1 sqp.  slots = "pq"
+    names the blocks in the error messages."""
+    p, q = slots
+    grid = blocks.grid
+    eye = np.eye(grid.nmodes)
+    G = _solve_block(grid, blocks.s12, eye - blocks.s11, s, floor, f"s{p}{q}")
+    if check_agreement:
+        G2 = _solve_block(grid, eye - blocks.s22, blocks.s21, s, floor, f"I - s{q}{q}")
+        mismatch = weighted_norm(grid, G - G2, s) / max(weighted_norm(grid, G, s), 1e-300)
+        if mismatch > 1e-6:
+            raise SingularBlockError(
+                f"the two {what} factorizations disagree ({mismatch:.3e} relative)"
+            )
+    return G
+
+
 def gamma_nd(
     blocks: SgnBlocks,
     s: float = -0.5,
@@ -142,19 +168,7 @@ def gamma_nd(
     Maps the perpendicular slot to the parallel slot; the tangential field
     it encodes is recovered by applying -R to the output coefficients.
     """
-    grid = blocks.grid
-    K = grid.nmodes
-    eye = np.eye(K)
-    G = _solve_block(grid, blocks.s12, eye - blocks.s11, s, floor, "s12")
-    if check_agreement:
-        G2 = _solve_block(grid, eye - blocks.s22, blocks.s21, s, floor, "I - s22")
-        mismatch = weighted_norm(grid, G - G2, s) / max(weighted_norm(grid, G, s), 1e-300)
-        if mismatch > 1e-6:
-            raise SingularBlockError(
-                f"the two Neumann-to-Dirichlet factorizations disagree "
-                f"({mismatch:.3e} relative)"
-            )
-    return G
+    return _gamma(blocks, "12", "Neumann-to-Dirichlet", s, floor, check_agreement)
 
 
 def gamma_dn(
@@ -164,19 +178,9 @@ def gamma_dn(
     check_agreement: bool = True,
 ) -> np.ndarray:
     """Dirichlet-to-Neumann map s21^-1 (I - s22), parallel to perpendicular."""
-    grid = blocks.grid
-    K = grid.nmodes
-    eye = np.eye(K)
-    G = _solve_block(grid, blocks.s21, eye - blocks.s22, s, floor, "s21")
-    if check_agreement:
-        G2 = _solve_block(grid, eye - blocks.s11, blocks.s12, s, floor, "I - s11")
-        mismatch = weighted_norm(grid, G - G2, s) / max(weighted_norm(grid, G, s), 1e-300)
-        if mismatch > 1e-6:
-            raise SingularBlockError(
-                f"the two Dirichlet-to-Neumann factorizations disagree "
-                f"({mismatch:.3e} relative)"
-            )
-    return G
+    b = blocks
+    swapped = SgnBlocks(b.grid, b.s22, b.s21, b.s12, b.s11)
+    return _gamma(swapped, "21", "Dirichlet-to-Neumann", s, floor, check_agreement)
 
 
 def gamma_minus(
@@ -209,49 +213,6 @@ def block_floors(blocks: SgnBlocks, s: float = -0.5) -> dict:
 def floors_above(floors: dict, floor: float = KEY_LEMMA_FLOOR) -> bool:
     """Whether every block floor exceeds the key lemma's invertibility floor."""
     return all(v > floor for v in floors.values())
-
-
-def key_lemma_check(
-    blocks: SgnBlocks,
-    s: float = -0.5,
-    floor: float = KEY_LEMMA_FLOOR,
-    n_vectors: int = 50,
-    seed: int = 0,
-) -> dict:
-    """Invertibility floors for the six block operators (block_floors), plus
-    the projector norm comparisons used alongside them.
-
-    Returns minimum weighted singular values of s12, s21, s11 +- I,
-    s22 +- I and the min/max ratios ||Q+ P_pm u|| / ||P_pm u|| over random
-    vectors (Q+ the projection on the perpendicular slot).
-    """
-    grid = blocks.grid
-    K = grid.nmodes
-    svs = block_floors(blocks, s)
-    sgn = OperatorMatrix(grid, blocks.reassemble())
-    P_plus, P_minus = spectral_projectors(sgn)
-    w = np.concatenate([mode_weights(grid, s)] * 2)
-    rng = np.random.default_rng(seed)
-    ratios = {"plus": [], "minus": []}
-    for _ in range(n_vectors):
-        u = rng.standard_normal(2 * K) + 1j * rng.standard_normal(2 * K)
-        for name, P in (("plus", P_plus), ("minus", P_minus)):
-            v = P.matrix @ u
-            denom = np.linalg.norm(w * v)
-            if denom < 1e-12:
-                continue
-            top = np.array(v)
-            top[K:] = 0.0
-            ratios[name].append(np.linalg.norm(w * top) / denom)
-    report = {
-        "min_singular_values": svs,
-        "floor": floor,
-        "all_above_floor": floors_above(svs, floor),
-        "perp_ratio_plus": (min(ratios["plus"]), max(ratios["plus"])),
-        "perp_ratio_minus": (min(ratios["minus"]), max(ratios["minus"])),
-        "involution_defect": blocks.involution_defect(),
-    }
-    return report
 
 
 def rellich_from_blocks(blocks: SgnBlocks, floor: float = DEFAULT_SV_FLOOR):

@@ -132,6 +132,8 @@ def _default_corpus(config: ExperimentConfig) -> list[dict]:
          "upper_triangular_random", "block_diagonal_random", "piecewise_random"],
     )
     per = int(config.options.get("per_family", 2))
+    if per < 1:
+        raise ValueError(f"option 'per_family' must be at least 1, got {per}")
     items = []
     for fam in families:
         if fam not in FAMILY_KINDS:
@@ -233,6 +235,8 @@ def run_verify(config: ExperimentConfig) -> int:
     # hat-involution sweep over extra random coefficient matrices
     grid = config.grid
     nhat = int(config.options.get("hat_samples", 200))
+    if nhat < 0:
+        raise ValueError(f"option 'hat_samples' must be nonnegative, got {nhat}")
     hat_max = 0.0
     if nhat > 0:
         hat_max = hat_involution_error(_hat_sweep_bases(grid.n, config.seed, nhat))
@@ -455,13 +459,12 @@ def run_norms(config: ExperimentConfig) -> int:
             for m in (1, 2, 3):
                 f += rng.standard_normal() * np.cos(m * 2 * np.pi * x[0] / grid.L)
                 f += rng.standard_normal() * np.sin(m * 2 * np.pi * x[0] / grid.L)
-            # one factorization per row, shared by both solves
-            core = build_core(A)
-            handle = solve_neumann_l2(A, f, core=core)
+            # both solves share the core kept on A: one factorization per row
+            handle = solve_neumann_l2(A, f)
             ts = default_t_grid(grid, 120)
             strip = evaluate(handle, ts[ts < 64 * grid.L])
             nt = nontangential_norm(strip)
-            hd = solve_dirichlet_l2(A, f, core=core)
+            hd = solve_dirichlet_l2(A, f)
             sq = square_function_norm(evaluate_full_gradient(hd, ts))
             rows.append({
                 "id": f"{item['family']}-{item['rep']}",

@@ -42,6 +42,7 @@ __all__ = [
     "fractional_power",
     "kato_check",
     "weight_vector",
+    "weighted",
     "weighted_norm",
 ]
 
@@ -177,8 +178,9 @@ def weight_vector(grid: GridSpec, s: float) -> np.ndarray:
     return np.concatenate([w, w])
 
 
-def weighted_norm(grid: GridSpec, M: np.ndarray, s: float, kind: str = "op") -> float:
-    """Operator norm of M between |xi|^s-weighted spaces.
+def weighted(grid: GridSpec, M: np.ndarray, s: float) -> np.ndarray:
+    """|xi|^s M |xi|^-s: M as a map between |xi|^s-weighted spaces, so its
+    norms and singular values are those of that topology.
 
     M may be a full 2K x 2K matrix or any square block on a single slot.
     """
@@ -189,12 +191,12 @@ def weighted_norm(grid: GridSpec, M: np.ndarray, s: float, kind: str = "op") -> 
         w = mode_weights(grid, s)
     else:
         raise ValueError("unexpected matrix dimension")
-    Mw = (w[:, None] * M) / w[None, :]
-    if kind == "op":
-        return float(np.linalg.norm(Mw, ord=2))
-    if kind == "fro":
-        return float(np.linalg.norm(Mw))
-    raise ValueError(f"unknown norm kind {kind!r}")
+    return (w[:, None] * M) / w[None, :]
+
+
+def weighted_norm(grid: GridSpec, M: np.ndarray, s: float) -> float:
+    """Operator norm of M between |xi|^s-weighted spaces (see weighted)."""
+    return float(np.linalg.norm(weighted(grid, M, s), ord=2))
 
 
 def assemble_S(grid: GridSpec) -> OperatorMatrix:

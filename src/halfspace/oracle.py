@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import zgetrf, zgetrs
 
-from .coeffs import CoefficientField, hat_transform
+from .coeffs import CoefficientField
 from .errors import NumericalError
 from .grid import (
     GridSpec,
@@ -558,13 +558,12 @@ def gamma_nd_comparison(
     """Weighted relative errors between the variational and spectral
     Neumann-to-Dirichlet matrices; optionally restricted to modes with
     |xi| <= band (the band shared across a refinement study)."""
-    from .operators import mode_weights
+    from .operators import weighted
 
     grid = A.grid
     Gv = gamma_nd_variational(A, mesh, ngauss)
-    w = mode_weights(grid, s)
-    D = (w[:, None] * (Gv - gamma_spectral)) / w[None, :]
-    R = (w[:, None] * gamma_spectral) / w[None, :]
+    D = weighted(grid, Gv - gamma_spectral, s)
+    R = weighted(grid, gamma_spectral, s)
     out = {
         "rel_fro": float(np.linalg.norm(D) / np.linalg.norm(R)),
         "rel_op": float(np.linalg.norm(D, 2) / np.linalg.norm(R, 2)),
@@ -672,7 +671,7 @@ def semigroup_strip_gradient(handle, mesh: StripMesh) -> np.ndarray:
     [(B F)_perp; F_par] and spectral evaluation at shifted points."""
     grid = handle.grid
     t_mids = 0.5 * (mesh.t_nodes[:-1] + mesh.t_nodes[1:])
-    g = _full_gradient(hat_transform(handle.A), _gradient_fields(handle, t_mids))
+    g = _full_gradient(handle.core.B, _gradient_fields(handle, t_mids))
     shift = tuple(grid.h / 2.0 for _ in range(grid.n))
     # every level shifted in one FFT: (nt, 1+n) + shape -> shape + (nt, 1+n)
     shifted = _shift_samples(grid, np.moveaxis(g, (0, 1), (-2, -1)), shift)

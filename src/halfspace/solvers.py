@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import SgnBlocks, SpectralCore, build_core, gamma_dn, gamma_nd
-from .coeffs import CoefficientField, hat_transform
+from .boundary import SpectralCore, build_core, gamma_dn, gamma_nd
+from .coeffs import CoefficientField
 from .errors import NumericalError
 from .grid import (
     BoundaryField,
@@ -31,10 +31,8 @@ from .grid import (
 from .operators import (
     OperatorMatrix,
     _apply_S,
-    assemble_operators,
     decompose_T_from_uT,
     log_t_levels,
-    mode_weights,
     plus_coefficients,
     semigroup_apply,
     spectral_columns,
@@ -67,19 +65,18 @@ class IllPosedError(NumericalError):
 
 @dataclass(frozen=True)
 class SolutionHandle:
-    """Immutable solver output: a graph vector plus its evolution operator.
+    """Immutable solver output: a graph vector plus the core it evolves by.
 
-    trace is the V-coordinate vector H0 (or H0~ for the Dirichlet solve),
-    uT drives the conormal gradient, T the Dirichlet potential; gauge_c is
-    the additive constant of the potential.
+    trace is the V-coordinate vector H0 (or H0~ for the Dirichlet solve);
+    core is build_core(A), whose uT drives the conormal gradient, T the
+    Dirichlet potential and B the full gradient; gauge_c is the additive
+    constant of the potential.
     """
 
     representation: str  # l2_neumann | l2_regularity | l2_dirichlet | energy
     A: CoefficientField
     trace: np.ndarray
-    uT: OperatorMatrix
-    T: OperatorMatrix
-    calB: OperatorMatrix
+    core: SpectralCore
     gauge_c: complex = 0.0
     diagnostics: dict = field(default_factory=dict)
 
@@ -88,13 +85,13 @@ class SolutionHandle:
         if self.representation not in known:
             raise ValueError(f"unknown representation {self.representation!r}")
         tr = np.ascontiguousarray(self.trace, dtype=complex)
-        if tr.shape != (self.uT.dim,):
+        if tr.shape != (self.core.uT.dim,):
             raise ValueError("trace vector has the wrong dimension")
         if not np.all(np.isfinite(tr)):
             raise ValueError("non-finite trace vector")
         object.__setattr__(self, "trace", tr)
         tr.setflags(write=False)
-        op = self.T if self.representation == "l2_dirichlet" else self.uT
+        op = self.core.T if self.representation == "l2_dirichlet" else self.core.uT
         plus_coefficients(op, tr)
 
     @property
@@ -168,11 +165,18 @@ def _check_curl_free(grid: GridSpec, g: np.ndarray, tol: float = 1e-8):
         raise ValueError("tangential datum is not curl-free")
 
 
-def _s12_conditioning(blocks: SgnBlocks, s: float = 0.0) -> dict:
-    w = mode_weights(blocks.grid, s)
-    m = (w[:, None] * blocks.s12) / w[None, :]
-    sv = np.linalg.svd(m, compute_uv=False)
-    return {"s12_min_sv": float(sv[-1]), "s12_cond": float(sv[0] / sv[-1])}
+def _l2_handle(
+    representation: str, A: CoefficientField, core: SpectralCore,
+    H0: np.ndarray, datum_norm: float, exploratory: bool,
+) -> SolutionHandle:
+    """Handle of an L2 Neumann or regularity solve with its diagnostics; an
+    exploratory run adds the singular values of s12 in the L2 topology."""
+    diag = {"datum_norm": datum_norm, "trace_norm": float(np.linalg.norm(H0))}
+    diag["norm_ratio"] = diag["trace_norm"] / max(diag["datum_norm"], 1e-300)
+    if exploratory:
+        sv = np.linalg.svd(core.blocks.s12, compute_uv=False)
+        diag.update(exploratory=True, s12_min_sv=float(sv[-1]), s12_cond=float(sv[0] / sv[-1]))
+    return SolutionHandle(representation, A, H0, core, 0.0, diag)
 
 
 def _triangularity_gate(A: CoefficientField, allowed, force: bool, problem: str):
@@ -187,16 +191,12 @@ def _triangularity_gate(A: CoefficientField, allowed, force: bool, problem: str)
 
 
 def solve_neumann_l2(
-    A: CoefficientField,
-    f: np.ndarray,
-    force: bool = False,
-    core: SpectralCore | None = None,
+    A: CoefficientField, f: np.ndarray, force: bool = False
 ) -> SolutionHandle:
     """Neumann problem with L2 datum f = conormal derivative at t = 0.
 
     H0 = [f; Gamma_ND f] in V-coordinates; the gradient on the strip is
-    exp(-t uT) H0.  core, when given, must be build_core(A); solves of one
-    field then share its factorization.
+    exp(-t uT) H0.
     """
     grid = A.grid
     f = np.ascontiguousarray(f, dtype=complex)
@@ -205,20 +205,12 @@ def solve_neumann_l2(
     _require_mean_zero(grid, f, "Neumann datum")
     exploratory = _triangularity_gate(A, _LOWER, force, "Neumann")
 
-    core = core or build_core(A)
+    core = build_core(A)
     G = gamma_nd(core.blocks, s=0.0)
     fc = scalar_to_coeffs(grid, f)
     H0 = np.concatenate([fc, G @ fc])
 
-    diag = {
-        "datum_norm": l2_norm(grid, f),
-        "trace_norm": float(np.linalg.norm(H0)),
-    }
-    diag["norm_ratio"] = diag["trace_norm"] / max(diag["datum_norm"], 1e-300)
-    if exploratory:
-        diag["exploratory"] = True
-        diag.update(_s12_conditioning(core.blocks))
-    return SolutionHandle("l2_neumann", A, H0, core.uT, core.T, core.calB, 0.0, diag)
+    return _l2_handle("l2_neumann", A, core, H0, l2_norm(grid, f), exploratory)
 
 
 def solve_regularity_l2(
@@ -242,26 +234,16 @@ def solve_regularity_l2(
     gc = _tangential_to_slot(grid, g)
     H0 = np.concatenate([Gdn @ gc, gc])
 
-    diag = {
-        "datum_norm": l2_norm(grid, g),
-        "trace_norm": float(np.linalg.norm(H0)),
-    }
-    diag["norm_ratio"] = diag["trace_norm"] / max(diag["datum_norm"], 1e-300)
-    if exploratory:
-        diag["exploratory"] = True
-        diag.update(_s12_conditioning(core.blocks))
-    return SolutionHandle("l2_regularity", A, H0, core.uT, core.T, core.calB, 0.0, diag)
+    return _l2_handle("l2_regularity", A, core, H0, l2_norm(grid, g), exploratory)
 
 
-def solve_dirichlet_l2(
-    A: CoefficientField, u0: np.ndarray, core: SpectralCore | None = None
-) -> SolutionHandle:
+def solve_dirichlet_l2(A: CoefficientField, u0: np.ndarray) -> SolutionHandle:
     """Dirichlet problem with L2 datum u0 at t = 0.
 
     Finds H0~ in the + spectral subspace of T whose perpendicular part is
     -(u0 - mean) by least squares over a basis of that subspace; the
     potential is u = -(exp(-t T) H0~)_perp + mean(u0).  T's eigenbasis is
-    taken from uT's; core, when given, must be build_core(A).
+    taken from uT's.
     """
     grid = A.grid
     u0 = np.ascontiguousarray(u0, dtype=complex)
@@ -269,7 +251,7 @@ def solve_dirichlet_l2(
         raise ValueError("Dirichlet datum must be a scalar grid field")
     _triangularity_gate(A, _LOWER, force=False, problem="Dirichlet")
 
-    core = core or build_core(A)
+    core = build_core(A)
     c = complex(np.mean(u0))
     target = -scalar_to_coeffs(grid, u0 - c)
 
@@ -300,13 +282,11 @@ def solve_dirichlet_l2(
         "datum_norm": l2_norm(grid, u0),
         "trace_norm": float(np.linalg.norm(H0t)),
     }
-    diag["square_function"] = _square_function(core.uT, _apply_S(grid, H0t), core.calB)
-    return SolutionHandle("l2_dirichlet", A, H0t, core.uT, core.T, core.calB, c, diag)
+    diag["square_function"] = _square_function(core, _apply_S(grid, H0t))
+    return SolutionHandle("l2_dirichlet", A, H0t, core, c, diag)
 
 
-def _square_function(
-    uT: OperatorMatrix, p0: np.ndarray, calB: OperatorMatrix, npoints: int = 200
-) -> float:
+def _square_function(core: SpectralCore, p0: np.ndarray, npoints: int = 200) -> float:
     """(Integral of t ||grad_{t,x} u(t)||^2 dt)^(1/2) by log-t quadrature.
 
     p0 is the V-coordinate conormal gradient at t = 0; the full gradient is
@@ -314,10 +294,11 @@ def _square_function(
     """
     if not np.any(p0):
         return 0.0
+    uT = core.uT
     ts = log_t_levels(uT, npoints)
     K = uT.grid.nmodes
     P = spectral_columns(uT, ts, p0)
-    vals = np.sum(np.abs(calB.matrix[:K] @ P) ** 2 + np.abs(P[K:]) ** 2, axis=0)
+    vals = np.sum(np.abs(core.calB.matrix[:K] @ P) ** 2 + np.abs(P[K:]) ** 2, axis=0)
     return float(np.sqrt(np.trapezoid(ts**2 * vals, np.log(ts))))
 
 
@@ -361,7 +342,7 @@ def solve_energy(
         "energy_norm": energy,
         "energy_ratio": energy / max(trace_nrm, 1e-300),
     }
-    return SolutionHandle("energy", A, H0, core.uT, core.T, core.calB, 0.0, diag)
+    return SolutionHandle("energy", A, H0, core, 0.0, diag)
 
 
 def _strip_energy(uT: OperatorMatrix, H0: np.ndarray, npoints: int = 400) -> float:
@@ -375,7 +356,7 @@ def _strip_energy(uT: OperatorMatrix, H0: np.ndarray, npoints: int = 400) -> flo
 
 def gradient_vcoords(handle: SolutionHandle, t: float) -> np.ndarray:
     """V-coordinates of the conormal gradient at height t."""
-    return semigroup_apply(handle.uT, t, _gradient_trace(handle))
+    return semigroup_apply(handle.core.uT, t, _gradient_trace(handle))
 
 
 def _gradient_trace(handle: SolutionHandle) -> np.ndarray:
@@ -395,7 +376,7 @@ def _strip_levels(t_grid) -> np.ndarray:
 
 def _gradient_fields(handle: SolutionHandle, ts: np.ndarray) -> np.ndarray:
     """Conormal gradient fields at the heights ts, (nt, 1+n) + grid.shape."""
-    P = spectral_columns(handle.uT, ts, _gradient_trace(handle))
+    P = spectral_columns(handle.core.uT, ts, _gradient_trace(handle))
     return vcoords_to_fields(handle.grid, P)
 
 
@@ -414,7 +395,7 @@ def evaluate(handle: SolutionHandle, t_grid) -> StripField:
     grad = _gradient_fields(handle, ts)
     if handle.representation != "l2_dirichlet":
         return StripField(grid, ts, "grad", grad=grad)
-    Q = spectral_columns(handle.T, ts, handle.trace)
+    Q = spectral_columns(handle.core.T, ts, handle.trace)
     u = -coeffs_to_scalar(grid, Q[: grid.nmodes]) + handle.gauge_c
     return StripField(grid, ts, "both", grad=grad, u=u)
 
@@ -424,7 +405,7 @@ def evaluate_full_gradient(handle: SolutionHandle, t_grid) -> StripField:
     given heights, where F is the conormal gradient and B = hat(A)."""
     ts = _strip_levels(t_grid)
     F = _gradient_fields(handle, ts)
-    out = _full_gradient(hat_transform(handle.A), F)
+    out = _full_gradient(handle.core.B, F)
     return StripField(handle.grid, ts, "grad", grad=out, content="grad_txu")
 
 
@@ -441,8 +422,7 @@ def residual_check(field: StripField, A: CoefficientField) -> dict:
     if len(ts) < 3:
         raise ValueError("need at least 3 t-levels for centered differences")
     grid = field.grid
-    B = hat_transform(A)
-    _, _, _, uT = assemble_operators(B)
+    uT = build_core(A).uT
 
     from .grid import field_to_vcoords
 

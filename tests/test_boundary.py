@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,10 +8,10 @@ from halfspace.boundary import (
     SingularBlockError,
     block_floors,
     build_core,
+    floors_above,
     gamma_dn,
     gamma_minus,
     gamma_nd,
-    key_lemma_check,
     rellich_constant,
     sgn_blocks,
 )
@@ -67,11 +70,8 @@ def test_inverse_relation_weighted(grid):
 
 def test_key_lemma_floors(grid):
     _, blocks = blocks_for(grid, "piecewise_random", seed=4)
-    rep = key_lemma_check(blocks)
-    assert rep["all_above_floor"]
-    assert rep["involution_defect"] < 1e-8
-    lo, hi = rep["perp_ratio_plus"]
-    assert 0.0 < lo <= hi <= 1.0 + 1e-10
+    assert floors_above(block_floors(blocks))
+    assert blocks.involution_defect() < 1e-8
 
 
 @pytest.mark.parametrize("s", [-0.5, 0.0])
@@ -79,8 +79,38 @@ def test_key_lemma_floors_are_block_floors(s):
     grid = GridSpec(n=2, N=8, L=2 * np.pi)
     _, blocks = blocks_for(grid, "lower_triangular_random", seed=1)
     floors = block_floors(blocks, s)
-    assert key_lemma_check(blocks, s)["min_singular_values"] == floors
     assert all(v > 0 for v in floors.values())
+
+
+def test_eigen_core_is_kept_on_its_field(grid, monkeypatch):
+    A = make_family(grid, "lower_triangular_random", seed=6)
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+    core = build_core(A)
+    assert build_core(A) is core
+    assert len(calls) == 1
+    # equal samples, new field: built afresh
+    twin = make_family(grid, "lower_triangular_random", seed=6)
+    assert np.array_equal(twin.samples, A.samples)
+    assert build_core(twin) is not core
+    assert len(calls) == 2
+
+
+def test_newton_core_is_not_kept(grid):
+    A = make_family(grid, "lower_triangular_random", seed=6)
+    ref = weakref.ref(build_core(A, method="newton"))
+    gc.collect()
+    assert ref() is None  # freed while A lives
+
+
+def test_dropped_field_frees_its_core(grid):
+    A = make_family(grid, "smooth_trig", seed=10)
+    core = build_core(A)
+    refs = [weakref.ref(A), weakref.ref(core), weakref.ref(core.uT)]
+    del A, core
+    gc.collect()
+    assert all(r() is None for r in refs)
 
 
 def test_rellich_identity_coefficients(grid):

@@ -120,6 +120,29 @@ def test_bad_config_exit_code(tmp_path):
     assert run(["solve", "--config", str(p), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("sub, options, name", [
+    ("verify", {"hat_samples": -5}, "hat_samples"),
+    ("verify", {"per_family": 0}, "per_family"),
+    ("rellich", {"per_family": -1}, "per_family"),
+])
+def test_bad_counts_exit_code(tmp_path, capsys, sub, options, name):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"options": options}))
+    assert run([sub, "--config", str(cfg), "--grid", "8", "--out", str(tmp_path)]) == 2
+    assert name in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_report.*"))
+
+
+def test_zero_hat_samples_skips_the_sweep(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"options": {"hat_samples": 0, "per_family": 1,
+                                           "families": ["constant"]}}))
+    assert run(["verify", "--config", str(cfg), "--grid", "8", "--format", "json",
+                "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "verify_report.json").read_text().split("\n", 1)[1])
+    assert doc["hat_involution_sweep"] == {"samples": 0, "max_error": 0.0}
+
+
 def test_unknown_problem_exit_code(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"options": {"problem": "helmholtz", "datum": "cos(x1)"}}))

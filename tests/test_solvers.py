@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from halfspace.boundary import build_core
 from halfspace.coeffs import make_family
 from halfspace.grid import GridSpec, l2_norm, riesz_apply
 from halfspace.solvers import (
@@ -143,3 +144,19 @@ def test_handle_is_immutable(grid):
     handle = solve_neumann_l2(A, cos_datum(grid))
     with pytest.raises(Exception):
         handle.trace[0] = 0.0
+
+
+def test_solves_of_one_field_share_its_core(grid, monkeypatch):
+    A = make_family(grid, "block_diagonal_random", seed=5)
+    f = cos_datum(grid)
+    g = np.sin(grid.points()[0]).astype(complex)[None]
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+    handles = [solve_neumann_l2(A, f), solve_regularity_l2(A, g),
+               solve_energy(A, f), solve_dirichlet_l2(A, f)]
+    assert len(calls) == 1
+    core = build_core(A)
+    assert all(h.core is core for h in handles)
+    residual_check(evaluate(handles[0], [0.2, 0.3, 0.4]), A)
+    assert len(calls) == 1
