@@ -6,6 +6,7 @@ first-order (Dirac-type) reformulation over a discrete torus.
 from .grid import (
     BoundaryField,
     GridSpec,
+    H0Error,
     coeffs_to_scalar,
     field_to_vcoords,
     l2_inner,

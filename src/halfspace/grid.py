@@ -18,9 +18,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import NumericalError
+
 __all__ = [
     "GridSpec",
     "BoundaryField",
+    "H0Error",
     "riesz_apply",
     "riesz_adjoint",
     "pi_project",
@@ -192,7 +195,9 @@ class BoundaryField:
             fh = self.values
             if self.representation == "physical":
                 fh = fftn(self.grid, fh)
-            _validate_h0(self.grid, fh[None])
+            defect = _h0_defect(self.grid, fh[None])
+            if defect:
+                raise ValueError(defect)
 
     def to_physical(self) -> "BoundaryField":
         if self.representation == "physical":
@@ -219,22 +224,27 @@ class BoundaryField:
         return self.values[1:]
 
 
-def _validate_h0(g: GridSpec, fh: np.ndarray, tol: float = 1e-10):
-    """H0 membership (zero means, curl-free tangential part) of a batch of
-    fields in frequency representation, shape (batch, 1+n) + shape; an
-    all-zero field passes."""
+class H0Error(NumericalError):
+    """A field computed from V-coordinates is not in H0."""
+
+
+def _h0_defect(g: GridSpec, fh: np.ndarray, tol: float = 1e-10) -> str | None:
+    """Why a batch of fields in frequency representation, shape
+    (batch, 1+n) + shape, is not in H0 (zero means, curl-free tangential
+    part), or None when every field is; an all-zero field passes."""
     batch = fh.shape[0]
     nrm = np.sqrt(np.sum(np.abs(fh.reshape(batch, -1)) ** 2, axis=1)) / g.npoints
     bound = tol * nrm * g.npoints  # (batch,)
     zero = (slice(None), slice(None)) + (0,) * g.n
     if np.any((np.abs(fh[zero]) > bound[:, None]) & (nrm[:, None] > 0)):
-        raise ValueError("H0 field has nonzero mean component")
+        return "H0 field has nonzero mean component"
     if g.n == 2:
         xi = g.frequencies()
         curl = xi[0] * fh[:, 2] - xi[1] * fh[:, 1]
         peak = np.max(np.abs(curl).reshape(batch, -1), axis=1)
         if np.any((peak > bound * max(1.0, np.max(g.freq_magnitude()))) & (nrm > 0)):
-            raise ValueError("tangential part is not curl-free")
+            return "tangential part is not curl-free"
+    return None
 
 
 def remove_mean(grid: GridSpec, f: np.ndarray) -> np.ndarray:
@@ -374,7 +384,8 @@ def vcoords_to_fields(grid: GridSpec, P: np.ndarray) -> np.ndarray:
     (2K, batch) -> values of shape (batch, 1+n) + grid.shape.
 
     The batched form of V: means are removed as v_apply removes them and
-    every field is checked to lie in H0 (zero means, curl-free).
+    every field is checked to lie in H0 (zero means, curl-free); a field
+    that fails raises H0Error, a NumericalError.
     """
     K = grid.nmodes
     if P.ndim != 2 or P.shape[0] != 2 * K:
@@ -386,7 +397,10 @@ def vcoords_to_fields(grid: GridSpec, P: np.ndarray) -> np.ndarray:
     p1, p2 = coeffs.reshape((2, batch, 1) + grid.shape) / _coeff_scale(grid)
     F = ifftn(grid, np.concatenate([p1, -_v_symbols(grid) * p2], axis=1))
     F -= np.mean(F, axis=tuple(range(-grid.n, 0)), keepdims=True)
-    _validate_h0(grid, fftn(grid, F))
+    # V maps onto H0, so a failure here is a numerical fault, not bad input
+    defect = _h0_defect(grid, fftn(grid, F))
+    if defect:
+        raise H0Error(f"computed field: {defect}")
     return F
 
 

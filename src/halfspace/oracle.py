@@ -10,10 +10,14 @@ homogeneous Dirichlet condition; its effect decays like exp(-T_max) for
 mean-zero data.
 
 The coefficients are t-independent and the mesh is a tensor product, so the
-form couples only neighbouring t-levels: ordered level by level it is block
-tridiagonal with N^n x N^n blocks.  Every solve is one block elimination
-over the free levels (`_level_sweep`): Schur complements are formed from the
-top level down, S_i = D_i - U_i S_{i+1}^-1 L_i, and the solution is
+form is a sum of four Kronecker products, G = sum_k T_k (x) X_k, of
+tridiagonal t-matrices with fixed N^n x N^n x-matrices (`_form_factors`).
+It couples only neighbouring t-levels: ordered level by level it is block
+tridiagonal, and each block is sum_k T_k[i, j] X_k, read from four
+coefficients and the x-matrices; no per-cell element matrix is kept.  Every
+solve is one block elimination over the free levels (`_level_sweep`): Schur
+complements are formed from the top level down,
+S_i = D_i - U_i S_{i+1}^-1 L_i, and the solution is
 substituted back up from the lowest free level.  The complement S_0 left on
 the boundary level is the discrete Dirichlet-to-Neumann (Steklov-Poincare)
 map of the strip, so the Neumann-to-Dirichlet map is S_0^-1 on the weak
@@ -207,43 +211,23 @@ def _shape_tables(sg: np.ndarray):
     return PH, DH
 
 
-def _t_factors(dts: np.ndarray):
-    """Per-cell 2x2 t-integral factors, exact.
+def _x_cells(samples: np.ndarray, grid: GridSpec, ngauss: int):
+    """Per-x-cell integrals of the coefficients and the x-node numbering.
 
-    Ktt = int s'_a s'_b, Mtt = int s_a s_b, Qd[a,b] = int s_b s'_a.
-    """
-    M = len(dts)
-    Ktt = np.empty((M, 2, 2))
-    Mtt = np.empty((M, 2, 2))
-    base_k = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    base_m = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
-    Qd = np.array([[-0.5, -0.5], [0.5, 0.5]])
-    for i, dt in enumerate(dts):
-        Ktt[i] = base_k / dt
-        Mtt[i] = base_m * dt
-    Qdt = np.broadcast_to(Qd, (M, 2, 2))
-    return Ktt, Mtt, Qdt
-
-
-def _element_matrices(samples: np.ndarray, grid: GridSpec, t_nodes: np.ndarray, ngauss: int):
-    """Per-cell element matrices of the form and the x-node numbering.
-
-    Returns (K, xnode).  K[i, j, at, a, bt, b] = int_cell A grad phi_b . grad
-    phi_a over t-cell i (levels i, i+1) crossed with x-cell j, where at, bt in
-    {0, 1} pick the lower or upper t-vertex and a, b the 2^n x-vertices of the
-    row and column shape functions; xnode[j, a] is the grid index of x-vertex
-    a of x-cell j.
+    Returns (X, xnode).  X[p, q][j, a, b] = int over x-cell j of A_pq times
+    the row shape of x-vertex a (its x_p-derivative for p >= 1) times the
+    column shape of x-vertex b (its x_q-derivative for q >= 1); direction 0
+    is t, so there the shape value itself stands.  xnode[j, a] is the grid
+    index of x-vertex a of x-cell j.
     """
     n = grid.n
     N = grid.N
     h = grid.h
-    Ktt, Mtt, Qdt = _t_factors(np.diff(t_nodes))
     sg, wg = _gauss01(ngauss)
     PH, DH = _shape_tables(sg)
     U = [PH, DH / h]  # index by whether the direction is this x axis
 
-    # X[p, q][j, a, b] = int_xcell A_pq * (shape or dshape) products, with
-    # the coefficient values at the gauss offsets: one shifted copy per offset
+    # one shifted copy of the coefficient samples per gauss offset
     if n == 1:
         A_g = np.stack([_shift_samples(grid, samples, (s * h,)) for s in sg])
         X = np.empty((2, 2, N, 2, 2), dtype=complex)
@@ -272,40 +256,61 @@ def _element_matrices(samples: np.ndarray, grid: GridSpec, t_nodes: np.ndarray, 
                 )
         X = X.reshape((3, 3, N * N, 4, 4))
 
-    nv = 2**n
-    K = np.zeros((len(Ktt), grid.npoints, 2, nv, 2, nv), dtype=complex)
-    for p in range(1 + n):
-        for q in range(1 + n):
-            if p == 0 and q == 0:
-                Tfac = Ktt
-            elif p == 0:
-                Tfac = Qdt  # test t-deriv, trial x-deriv
-            elif q == 0:
-                Tfac = np.swapaxes(Qdt, 1, 2)
-            else:
-                Tfac = Mtt
-            K += np.einsum("iab,jcd->ijacbd", Tfac, X[p, q])
-
     shifted = (np.arange(N)[:, None] + np.arange(2)) % N  # [j, a] per axis
     if n == 1:
         xnode = shifted
     else:
         xnode = (shifted[:, None, :, None] * N + shifted[None, :, None, :]).reshape(N * N, 4)
-    return K, xnode
+    return X, xnode
 
 
-def _form_csr(K: np.ndarray, xnode: np.ndarray) -> sp.csr_matrix:
-    """Scatter the element matrices into the global form over all levels."""
-    M, npts, _, nv, _, _ = K.shape
-    i = np.arange(M).reshape(-1, 1, 1, 1, 1, 1)
-    t = np.arange(2)
-    rows = (i + t.reshape(1, 1, 2, 1, 1, 1)) * npts + xnode.reshape(1, npts, 1, nv, 1, 1)
-    cols = (i + t.reshape(1, 1, 1, 1, 2, 1)) * npts + xnode.reshape(1, npts, 1, 1, 1, nv)
-    size = (M + 1) * npts
-    return sp.coo_matrix(
-        (K.ravel(), (np.broadcast_to(rows, K.shape).ravel(), np.broadcast_to(cols, K.shape).ravel())),
-        shape=(size, size),
-    ).tocsr()
+# Exact integrals over one t-cell of the products of the lower/upper vertex
+# shapes s_a (row) and s_b (column) that pair with Kx, C1, C2 and Mx:
+# int s'_a s'_b (times 1/dt), int s'_a s_b, int s_a s'_b, int s_a s_b (times dt).
+_T_CELL = np.array(
+    [
+        [[1.0, -1.0], [-1.0, 1.0]],
+        [[-0.5, -0.5], [0.5, 0.5]],
+        [[-0.5, 0.5], [-0.5, 0.5]],
+        [[1 / 3, 1 / 6], [1 / 6, 1 / 3]],
+    ]
+)
+
+
+def _form_factors(samples: np.ndarray, grid: GridSpec, t_nodes: np.ndarray, ngauss: int):
+    """The form as four Kronecker products, G = sum_k T_k (x) X_k.
+
+    The coefficients are t-independent, so each term of A grad u . grad phi
+    splits into a t-integral and an x-integral.  Returns (T, X): T is the
+    diagonal, upper and lower diagonal of the four tridiagonal t-matrices,
+    shapes (4, M+1), (4, M), (4, M); X is the four N^n x N^n x-matrices
+    Kx = X_00, C1 = sum_q X_0q, C2 = sum_p X_p0 and Mx = sum_pq X_pq
+    (p, q >= 1) as CSR.  Ordered level by level, block (i, j) of G is
+    sum_k T_k[i, j] X_k.
+    """
+    dts = np.diff(t_nodes)
+    scale = np.stack([1.0 / dts, np.ones_like(dts), np.ones_like(dts), dts])
+    cells = scale[:, :, None, None] * _T_CELL[:, None]  # (4, M, 2, 2)
+    diag = np.zeros((4, len(t_nodes)))
+    diag[:, :-1] += cells[:, :, 0, 0]
+    diag[:, 1:] += cells[:, :, 1, 1]
+
+    Xc, xnode = _x_cells(samples, grid, ngauss)
+    npts, nv = xnode.shape
+    rows = np.broadcast_to(xnode[:, :, None], (npts, nv, nv)).ravel()
+    cols = np.broadcast_to(xnode[:, None, :], (npts, nv, nv)).ravel()
+    groups = (Xc[0, 0], Xc[0, 1:].sum(axis=0), Xc[1:, 0].sum(axis=0), Xc[1:, 1:].sum(axis=(0, 1)))
+    X = [sp.csr_matrix((x.ravel(), (rows, cols)), shape=(npts, npts)) for x in groups]
+    return (diag, cells[:, :, 0, 1], cells[:, :, 1, 0]), X
+
+
+def _kron_csr(T, X) -> sp.csr_matrix:
+    """sum_k T_k (x) X_k as CSR, from the factors of _form_factors."""
+    diag, upper, lower = T
+    return sum(
+        sp.kron(sp.diags((lower[k], diag[k], upper[k]), (-1, 0, 1)), X[k], format="csr")
+        for k in range(4)
+    )
 
 
 def assemble_form(
@@ -317,20 +322,7 @@ def assemble_form(
     """Global sesquilinear-form matrix a(u, phi) = sum A grad u . grad phi
     over the strip, for pointwise coefficient samples of shape
     grid.shape + (1+n, 1+n).  No boundary conditions are applied."""
-    return _form_csr(*_element_matrices(samples, grid, t_nodes, ngauss))
-
-
-def _cell_blocks(K_i: np.ndarray, xnode: np.ndarray) -> np.ndarray:
-    """The level blocks B[at, bt] (each N^n x N^n) that t-cell i adds to the
-    form: B[0, 0] to level i, B[1, 1] to level i+1, B[0, 1] and B[1, 0] to
-    their couplings."""
-    npts, nv = xnode.shape
-    B = np.zeros((2, 2, npts, npts), dtype=complex)
-    for a in range(nv):
-        for b in range(nv):
-            # j -> xnode[j, a] is one-to-one, so no entry repeats in one update
-            B[:, :, xnode[:, a], xnode[:, b]] += np.moveaxis(K_i[:, :, a, :, b], 0, -1)
-    return B
+    return _kron_csr(*_form_factors(samples, grid, t_nodes, ngauss))
 
 
 def _factor(S: np.ndarray, level: int):
@@ -345,14 +337,15 @@ def _solve(factors, rhs: np.ndarray) -> np.ndarray:
 
 
 def _level_sweep(
-    K: np.ndarray,
-    xnode: np.ndarray,
+    T,
+    X,
     first: int,
     rhs: np.ndarray,
     boundary_only: bool = False,
 ) -> np.ndarray:
-    """Solve the form on the free t-levels first..M-1, the top level M held
-    at zero, by block elimination over the levels.
+    """Solve the form (T, X) of _form_factors on the free t-levels
+    first..M-1, the top level M held at zero, by block elimination over the
+    levels.
 
     rhs has shape (M - first, N^n), one weak vector per free level, and the
     result the same shape.  With boundary_only the data sit on level first
@@ -362,27 +355,31 @@ def _level_sweep(
     its Schur complements inherit it, so each level is factored with partial
     pivoting inside the level and no pivoting across levels.
     """
-    M = K.shape[0]
-    coupling, partial = {}, {}  # S_{i+1}^-1 L_i and S_i^-1 g_i per level
-    cell = _cell_blocks(K[M - 1], xnode)
-    for i in range(M - 1, first - 1, -1):
-        below = _cell_blocks(K[i - 1], xnode) if i > 0 else None
-        S = cell[0, 0] if below is None else cell[0, 0] + below[1, 1]
-        if i < M - 1:
-            W = _solve(factors, cell[1, 0])
-            S = S - cell[0, 1] @ W
+    diag, upper, lower = T
+    M = upper.shape[1]
+    p = X[0].shape[0]
+    stack = np.stack([x.toarray().ravel() for x in X])  # (4, p^2)
+
+    def block(coef):  # sum_k coef[k] X_k
+        return (coef @ stack).reshape(p, p)
+
+    coupling, partial = {}, {}  # coupling[i] = S_{i+1}^-1 L_i, partial[i] = S_i^-1 g_i
+    S = block(diag[:, M - 1])
+    g = [] if boundary_only else [rhs[-1]]  # the carried right-hand side g_i, if any
+    for i in range(M - 1, first, -1):
         factors = _factor(S, i)
+        # S_i^-1 L_{i-1} and S_i^-1 g_i in one solve, L_{i-1} = G[i, i-1]
+        W = _solve(factors, np.column_stack([block(lower[:, i - 1])] + g))
+        UW = block(upper[:, i - 1]) @ W  # U_{i-1} = G[i-1, i]
+        S = block(diag[:, i - 1]) - UW[:, :p]
         if not boundary_only:
-            g = rhs[i - first]
-            if i < M - 1:
-                coupling[i] = W
-                g = g - cell[0, 1] @ partial[i + 1]
-            partial[i] = _solve(factors, g)
-        cell = below
+            coupling[i - 1], partial[i] = W[:, :p], W[:, p]
+            g = [rhs[i - 1 - first] - UW[:, p]]
+    factors = _factor(S, first)
     if boundary_only:
         return _solve(factors, rhs)
     u = np.empty_like(rhs)
-    u[0] = partial[first]
+    u[0] = _solve(factors, g[0])
     for i in range(first, M - 1):
         u[i + 1 - first] = partial[i + 1] - coupling[i] @ u[i - first]
     return u
@@ -443,14 +440,14 @@ def energy_solve_neumann(
     if mean > 1e-10 * max(1.0, float(np.max(np.abs(ell)))):
         raise ValueError("Neumann datum must be mean-zero")
 
-    K, xnode = _element_matrices(A.samples, grid, mesh.t_nodes, ngauss)
-    G = _form_csr(K, xnode)
+    T, X = _form_factors(A.samples, grid, mesh.t_nodes, ngauss)
+    G = _kron_csr(T, X)
     npts = grid.npoints
     nfree = mesh.M * npts  # all t-levels except the top
     rhs = np.zeros((mesh.M, npts), dtype=complex)
     rhs[0] = _boundary_weak(grid, ell, ngauss).ravel()
     u = np.zeros(mesh.n_nodes, dtype=complex)
-    u[:nfree] = _level_sweep(K, xnode, 0, rhs).ravel()
+    u[:nfree] = _level_sweep(T, X, 0, rhs).ravel()
     Gu = G @ u
     _check_backward_error(G, u, Gu[:nfree] - rhs.ravel(), rhs)
 
@@ -482,8 +479,8 @@ def energy_solve_regularity(
     f = np.ascontiguousarray(f, dtype=complex)
     if f.shape != grid.shape:
         raise ValueError("regularity datum must be a scalar grid field")
-    K, xnode = _element_matrices(A.samples, grid, mesh.t_nodes, ngauss)
-    G = _form_csr(K, xnode)
+    T, X = _form_factors(A.samples, grid, mesh.t_nodes, ngauss)
+    G = _kron_csr(T, X)
     npts = grid.npoints
     ntot = mesh.n_nodes
     if lifting is None:
@@ -499,7 +496,7 @@ def energy_solve_regularity(
             raise ValueError("lifting must vanish at the top boundary")
     interior = slice(npts, mesh.M * npts)
     rhs = -(G @ w)[interior]
-    u_int = _level_sweep(K, xnode, 1, rhs.reshape(mesh.M - 1, npts)).ravel()
+    u_int = _level_sweep(T, X, 1, rhs.reshape(mesh.M - 1, npts)).ravel()
     v = w.copy()
     v[interior] += u_int
     Gv = G @ v
@@ -538,10 +535,10 @@ def gamma_nd_variational(
     """
     grid = A.grid
     nmodes = grid.nmodes
-    K, xnode = _element_matrices(A.samples, grid, mesh.t_nodes, ngauss)
+    T, X = _form_factors(A.samples, grid, mesh.t_nodes, ngauss)
     units = coeffs_to_scalar(grid, np.eye(nmodes))  # (nmodes,) + grid.shape
     weak = _boundary_weak(grid, units, ngauss).reshape(nmodes, grid.npoints)
-    u0 = _level_sweep(K, xnode, 0, -weak.T, boundary_only=True)
+    u0 = _level_sweep(T, X, 0, -weak.T, boundary_only=True)
     return -grid.mode_magnitudes()[:, None] * scalar_to_coeffs(
         grid, u0.T.reshape((nmodes,) + grid.shape)
     )

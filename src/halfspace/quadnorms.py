@@ -8,10 +8,10 @@ are evaluated by log-spaced quadrature through the eigendecomposition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .grid import GridSpec
 from .operators import (
@@ -66,7 +66,7 @@ def c_psi(psi: PsiSpec, s: float) -> float:
     """Closed form sqrt(Gamma(2k-2s)/2^(2k-2s)) of the quadratic constant."""
     psi.check_exponent(s)
     a = 2 * psi.k - 2 * s
-    return float(np.sqrt(gamma_fn(a) / 2.0**a))
+    return float(np.sqrt(math.gamma(a) / 2.0**a))
 
 
 def _check_s(s: float):

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halfspace import grid as grid_module
+from halfspace.errors import NumericalError
 from halfspace.grid import (
     BoundaryField,
     GridSpec,
+    H0Error,
     _v_symbols,
     coeffs_to_scalar,
     field_to_vcoords,
@@ -174,6 +177,31 @@ def test_batched_vcoords_match_single_columns(n, N):
         assert np.max(np.abs(F[j] - one)) <= 1e-13 * scale
         assert np.max(np.abs(F[j] - via_v)) <= 1e-13 * scale
     assert not np.any(F[4])
+
+
+def test_computed_field_outside_h0_is_a_numerical_error(monkeypatch):
+    g = GridSpec(n=2, N=8, L=2 * np.pi)
+    rng = np.random.default_rng(10)
+    P = rng.standard_normal((2 * g.nmodes, 2)) + 1j * rng.standard_normal((2 * g.nmodes, 2))
+    symbols = _v_symbols(g)
+    # a fault in the Riesz symbols makes V's output leave H0: not the caller's error
+    monkeypatch.setattr(grid_module, "_v_symbols", lambda grid: symbols * [[[1.0]], [[2.0]]])
+    with pytest.raises(H0Error, match="curl-free") as exc:
+        vcoords_to_fields(g, P)
+    assert isinstance(exc.value, NumericalError)
+    assert not isinstance(exc.value, ValueError)
+
+
+def test_user_field_outside_h0_is_a_value_error():
+    g = GridSpec(n=2, N=8, L=2 * np.pi)
+    x = g.points()
+    curl = np.stack([np.zeros(g.shape), -np.sin(x[1]), np.sin(x[0])]).astype(complex)
+    with pytest.raises(ValueError, match="curl-free") as exc:
+        BoundaryField(g, curl, h0_flag=True)
+    assert not isinstance(exc.value, NumericalError)
+    mean = np.ones((3,) + g.shape, dtype=complex)
+    with pytest.raises(ValueError, match="mean"):
+        BoundaryField(g, mean, h0_flag=True)
 
 
 def test_sobolev_norm_single_mode():

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import halfspace
@@ -19,6 +20,7 @@ from halfspace.oracle import (
     StripMesh,
     _boundary_weak,
     _grading_ratio,
+    _x_cells,
     assemble_form,
     coercivity_check,
     energy_solve_neumann,
@@ -70,8 +72,55 @@ def test_graded_mesh_imports_no_root_finder():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
+# The per-cell route that the Kronecker assembly replaced: a 6-D element
+# tensor K[i, j, at, a, bt, b] over t-cell i and x-cell j (at, bt the lower or
+# upper t-vertex, a, b the x-vertices of the row and column shapes), built by
+# one einsum per coefficient entry and scattered entry by entry.
+def _element_scatter_form(samples, grid, t_nodes, ngauss):
+    X, xnode = _x_cells(samples, grid, ngauss)
+    dts = np.diff(t_nodes)
+    M, (npts, nv) = len(dts), xnode.shape
+    Ktt = np.array([np.array([[1.0, -1.0], [-1.0, 1.0]]) / dt for dt in dts])
+    Mtt = np.array([np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]]) * dt for dt in dts])
+    Qdt = np.broadcast_to(np.array([[-0.5, -0.5], [0.5, 0.5]]), (M, 2, 2))  # int s_b s'_a
+    K = np.zeros((M, npts, 2, nv, 2, nv), dtype=complex)
+    for p in range(1 + grid.n):
+        for q in range(1 + grid.n):
+            if p == 0 and q == 0:
+                Tfac = Ktt
+            elif p == 0:
+                Tfac = Qdt  # test t-derivative, trial x-derivative
+            elif q == 0:
+                Tfac = np.swapaxes(Qdt, 1, 2)
+            else:
+                Tfac = Mtt
+            K += np.einsum("iab,jcd->ijacbd", Tfac, X[p, q])
+    i = np.arange(M).reshape(-1, 1, 1, 1, 1, 1)
+    t = np.arange(2)
+    rows = (i + t.reshape(1, 1, 2, 1, 1, 1)) * npts + xnode.reshape(1, npts, 1, nv, 1, 1)
+    cols = (i + t.reshape(1, 1, 1, 1, 2, 1)) * npts + xnode.reshape(1, npts, 1, 1, 1, nv)
+    size = (M + 1) * npts
+    return sp.coo_matrix(
+        (K.ravel(), (np.broadcast_to(rows, K.shape).ravel(), np.broadcast_to(cols, K.shape).ravel())),
+        shape=(size, size),
+    ).tocsr()
+
+
 # The level sweep against a general sparse LU of the same free form.
 REFEREE_MESHES = [(1, 32, 96), (2, 8, 16)]
+
+
+@pytest.mark.parametrize("ngauss", [2, 4])
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@pytest.mark.parametrize("n,N,M", REFEREE_MESHES)
+def test_kronecker_form_matches_element_scatter(n, N, M, kind, ngauss):
+    grid = GridSpec(n=n, N=N, L=2 * np.pi)
+    A = make_family(grid, kind, seed=3)
+    mesh = StripMesh.graded(grid, M)
+    ref = _element_scatter_form(A.samples, grid, mesh.t_nodes, ngauss)
+    got = assemble_form(A.samples, grid, mesh.t_nodes, ngauss)
+    assert got.nnz == ref.nnz
+    assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
 
 
 def _referee_case(n, N, M, kind, seed):
@@ -86,11 +135,7 @@ def _rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("kind", FAMILY_KINDS)
-@pytest.mark.parametrize("n,N,M", REFEREE_MESHES)
-def test_level_sweep_matches_sparse_lu(n, N, M, kind, seed):
-    grid, A, mesh, G, rng = _referee_case(n, N, M, kind, seed)
+def _assert_sweep_matches_sparse_lu(grid, A, mesh, G, rng):
     npts = grid.npoints
     nfree = mesh.M * npts
 
@@ -126,6 +171,34 @@ def test_level_sweep_matches_sparse_lu(n, N, M, kind, seed):
         u0 = lu.solve(rhs)[:npts].reshape(grid.shape)
         ref[:, k] = -grid.mode_magnitudes() * scalar_to_coeffs(grid, u0)
     assert _rel(gamma_nd_variational(A, mesh), ref) <= 1e-11
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@pytest.mark.parametrize("n,N,M", REFEREE_MESHES)
+def test_level_sweep_matches_sparse_lu(n, N, M, kind, seed):
+    _assert_sweep_matches_sparse_lu(*_referee_case(n, N, M, kind, seed))
+
+
+# M = 2: the regularity solve has one free level (no elimination step) and
+# the Neumann solve and the Neumann-to-Dirichlet map two
+@pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
+def test_level_sweep_on_two_cells(n, N):
+    grid = GridSpec(n=n, N=N, L=2 * np.pi)
+    A = make_family(grid, "lower_triangular_random", seed=2)
+    mesh = StripMesh.uniform(grid, 2, T_max=2.0)
+    G = assemble_form(A.samples, grid, mesh.t_nodes)
+    _assert_sweep_matches_sparse_lu(grid, A, mesh, G, np.random.default_rng(N))
+
+    zero = SimpleNamespace(grid=grid, samples=np.zeros(grid.shape + (1 + n, 1 + n), dtype=complex))
+    ell = np.cos(grid.points()[0]).astype(complex)
+    for solve in (
+        lambda: energy_solve_neumann(zero, ell, mesh),
+        lambda: energy_solve_regularity(zero, ell, mesh),
+        lambda: gamma_nd_variational(zero, mesh),
+    ):
+        with pytest.raises(SingularFormError):
+            solve()
 
 
 def test_singular_form_is_a_numerical_error(grid):

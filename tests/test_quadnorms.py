@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import halfspace
 from halfspace.coeffs import hat_transform, make_family
 from halfspace.grid import GridSpec, scalar_to_coeffs
 from halfspace.operators import assemble_operators, decompose, fractional_power, weight_vector
@@ -26,6 +32,18 @@ def test_c_psi_matches_numerical_integral(k, s):
     # c^2 = int_0^inf t^(-2s) |psi(t)|^2 dt/t for psi(z) = z^k e^{-z}
     val, _ = quad(lambda t: t ** (-2 * s) * (t**k * np.exp(-t)) ** 2 / t, 0, np.inf)
     assert np.isclose(c_psi(PsiSpec(k), s), np.sqrt(val), rtol=1e-10)
+
+
+def test_import_loads_no_scipy_special():
+    # c_psi takes Gamma from the standard library
+    src = str(Path(halfspace.__file__).resolve().parents[1])
+    code = (
+        "import sys, halfspace\n"
+        "from halfspace import cli\n"
+        "assert 'scipy.special' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def test_default_psi_order():
