@@ -125,13 +125,27 @@ def item_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence([master, index]).generate_state(1)[0])
 
 
+def _option(config: ExperimentConfig, name: str, convert, default):
+    """Option `name` (or `default`) through `convert`; a value of the wrong
+    type or form is a configuration error that names the option."""
+    value = config.options.get(name, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"option {name!r}: cannot read {value!r} ({exc})") from None
+
+
+def _ints(values) -> list[int]:
+    return [int(v) for v in values]
+
+
 def _default_corpus(config: ExperimentConfig) -> list[dict]:
-    families = config.options.get(
-        "families",
+    families = _option(
+        config, "families", list,
         ["constant", "smooth_trig", "lower_triangular_random",
          "upper_triangular_random", "block_diagonal_random", "piecewise_random"],
     )
-    per = int(config.options.get("per_family", 2))
+    per = _option(config, "per_family", int, 2)
     if per < 1:
         raise ValueError(f"option 'per_family' must be at least 1, got {per}")
     items = []
@@ -234,7 +248,7 @@ def run_verify(config: ExperimentConfig) -> int:
     items = _default_corpus(config)
     # hat-involution sweep over extra random coefficient matrices
     grid = config.grid
-    nhat = int(config.options.get("hat_samples", 200))
+    nhat = _option(config, "hat_samples", int, 200)
     if nhat < 0:
         raise ValueError(f"option 'hat_samples' must be nonnegative, got {nhat}")
     hat_max = 0.0
@@ -291,13 +305,14 @@ def _emit(config: ExperimentConfig, base: Path, report: dict, rows: list):
 
 # ----------------------------------------------------------------- solve
 
-def _resolve_datum(config: ExperimentConfig, grid: GridSpec, key: str) -> np.ndarray:
-    src = config.options.get(key)
+def _datum(config: ExperimentConfig, grid: GridSpec) -> np.ndarray:
+    """The 'datum' option evaluated on the grid, mean kept."""
+    src = config.options.get("datum")
     if src is None:
-        raise ValueError(f"missing {key!r} in configuration")
-    if isinstance(src, str):
-        return remove_mean(grid, evaluate_expr(src, grid))
-    raise ValueError(f"{key!r} must be a mini-language expression string")
+        raise ValueError("missing 'datum' in configuration")
+    if not isinstance(src, str):
+        raise ValueError("'datum' must be a mini-language expression string")
+    return np.asarray(evaluate_expr(src, grid))
 
 
 def run_solve(config: ExperimentConfig) -> int:
@@ -306,19 +321,19 @@ def run_solve(config: ExperimentConfig) -> int:
     cspec = config.options.get("coefficients", {"kind": "family", "family": "constant"})
     A = load_coefficient_spec(cspec, grid)
     if problem == "neumann":
-        f = _resolve_datum(config, grid, "datum")
+        f = remove_mean(grid, _datum(config, grid))
         handle = solve_neumann_l2(A, f, force=config.force)
     elif problem == "regularity":
-        f = _resolve_datum(config, grid, "datum")
+        f = remove_mean(grid, _datum(config, grid))
         from .grid import fftn, ifftn
 
         g = ifftn(grid, 1j * grid.frequencies() * fftn(grid, f))
         handle = solve_regularity_l2(A, g, force=config.force)
     elif problem == "dirichlet":
-        u0 = np.asarray(evaluate_expr(config.options["datum"], grid))
+        u0 = _datum(config, grid)  # the mean is the Dirichlet gauge
         handle = solve_dirichlet_l2(A, u0)
     elif problem == "energy":
-        f = _resolve_datum(config, grid, "datum")
+        f = remove_mean(grid, _datum(config, grid))
         handle = solve_energy(A, f, config.options.get("energy_problem", "neumann"))
     else:
         raise ValueError(f"unknown problem {problem!r}")
@@ -338,7 +353,7 @@ def run_solve(config: ExperimentConfig) -> int:
     if config.options.get("compare_oracle") and problem in ("neumann", "energy"):
         from .oracle import StripMesh, energy_solve_neumann, strip_gradient_error
 
-        mesh = StripMesh.graded(grid, int(config.options.get("oracle_M", 4 * grid.N)))
+        mesh = StripMesh.graded(grid, _option(config, "oracle_M", int, 4 * grid.N))
         sol = energy_solve_neumann(A, -f, mesh)
         summary["oracle_delta"] = strip_gradient_error(handle, sol)
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -391,8 +406,8 @@ def _rellich_item(args: tuple) -> dict:
 
 def run_rellich(config: ExperimentConfig) -> int:
     items = _default_corpus(config)
-    N_list = config.options.get("N_list", [config.N, 2 * config.N])
-    args = [(config.n, config.L, config.seed, item, int(N))
+    N_list = _option(config, "N_list", _ints, [config.N, 2 * config.N])
+    args = [(config.n, config.L, config.seed, item, N)
             for item in items for N in N_list]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -413,18 +428,19 @@ def run_rellich(config: ExperimentConfig) -> int:
 def run_convergence(config: ExperimentConfig) -> int:
     from .oracle import StripMesh, gamma_nd_comparison
 
-    ladder = config.options.get("ladder", [[16, 64], [32, 128], [64, 256]])
-    band = float(config.options.get("band", 8.0))
-    amplitude = float(config.options.get("amplitude", 0.3))
+    ladder = _option(config, "ladder", lambda v: [(int(N), int(M)) for N, M in v],
+                     [[16, 64], [32, 128], [64, 256]])
+    band = _option(config, "band", float, 8.0)
+    amplitude = _option(config, "amplitude", float, 0.3)
     rows = []
     for N, M in ladder:
-        grid = GridSpec(n=config.n, N=int(N), L=config.L)
+        grid = GridSpec(n=config.n, N=N, L=config.L)
         A = make_family(grid, "smooth_trig", seed=item_seed(config.seed, 0),
                         amplitude=amplitude)
         Gs = gamma_nd(build_core(A, method="newton").blocks, s=-0.5)
-        mesh = StripMesh.graded(grid, int(M), T_max=8 * grid.L)
+        mesh = StripMesh.graded(grid, M, T_max=8 * grid.L)
         rep = gamma_nd_comparison(A, mesh, Gs, band=band)
-        rows.append({"N": int(N), "M": int(M), **{k: rep[k] for k in sorted(rep)}})
+        rows.append({"N": N, "M": M, **{k: rep[k] for k in sorted(rep)}})
     for i in range(1, len(rows)):
         rows[i]["order_band"] = float(
             np.log2(rows[i - 1]["rel_fro_band"] / rows[i]["rel_fro_band"])
@@ -445,10 +461,11 @@ def run_norms(config: ExperimentConfig) -> int:
     items = [it for it in _default_corpus(config)
              if it["family"] in ("constant", "lower_triangular_random",
                                  "block_diagonal_random", "smooth_trig")]
+    N_list = _option(config, "N_list", _ints, [config.N, 2 * config.N])
     rows = []
     for item in items:
-        for N in config.options.get("N_list", [config.N, 2 * config.N]):
-            grid = GridSpec(n=config.n, N=int(N), L=config.L)
+        for N in N_list:
+            grid = GridSpec(n=config.n, N=N, L=config.L)
             seed = item_seed(config.seed, item["index"])
             A = make_family(grid, item["family"], seed=seed)
             if A.block_class not in ("lower_triangular", "block_diagonal"):
@@ -468,7 +485,7 @@ def run_norms(config: ExperimentConfig) -> int:
             sq = square_function_norm(evaluate_full_gradient(hd, ts))
             rows.append({
                 "id": f"{item['family']}-{item['rep']}",
-                "N": int(N),
+                "N": N,
                 "ratio_H0_over_NT": float(np.linalg.norm(handle.trace) / nt),
                 "ratio_H0t_over_sqfn": float(np.linalg.norm(hd.trace) / max(sq, 1e-300)),
             })

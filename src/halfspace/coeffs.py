@@ -283,14 +283,9 @@ def mgamma_perturb(
     ):
         raise ValueError("gamma is not discretely divergence-free")
     samples = A.samples.copy()
-    if grid.n == 1:
-        g = gamma[0]
-        samples[..., 0, 1] += g
-        samples[..., 1, 0] -= g
-    else:
-        g = np.moveaxis(gamma, 0, -1)  # shape + (n,)
-        samples[..., 0, 1:] += g
-        samples[..., 1:, 0] -= g
+    g = np.moveaxis(gamma, 0, -1)  # shape + (n,)
+    samples[..., 0, 1:] += g
+    samples[..., 1:, 0] -= g
     return CoefficientField(grid, samples)
 
 

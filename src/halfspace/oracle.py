@@ -12,16 +12,22 @@ mean-zero data.
 The coefficients are t-independent and the mesh is a tensor product, so the
 form is a sum of four Kronecker products, G = sum_k T_k (x) X_k, of
 tridiagonal t-matrices with fixed N^n x N^n x-matrices (`_form_factors`).
-It couples only neighbouring t-levels: ordered level by level it is block
-tridiagonal, and each block is sum_k T_k[i, j] X_k, read from four
-coefficients and the x-matrices; no per-cell element matrix is kept.  Every
-solve is one block elimination over the free levels (`_level_sweep`): Schur
+These factors are the only representation of the form; no global matrix is
+assembled.  It couples only neighbouring t-levels: ordered level by level it
+is block tridiagonal, and each block is sum_k T_k[i, j] X_k, read from four
+coefficients and the x-matrices.  G u is sum_k tridiag(T_k) U X_k^T on the
+array U of level values (`_apply_form`), and ||G||_1 is summed level by
+level from the three block diagonals (`_form_norm1`).  Every solve is one
+block elimination over the free levels (`_level_sweep`): Schur
 complements are formed from the top level down,
 S_i = D_i - U_i S_{i+1}^-1 L_i, and the solution is
-substituted back up from the lowest free level.  The complement S_0 left on
-the boundary level is the discrete Dirichlet-to-Neumann (Steklov-Poincare)
-map of the strip, so the Neumann-to-Dirichlet map is S_0^-1 on the weak
-boundary vectors and needs no interior values.
+substituted back up from the lowest free level.  The Neumann and regularity
+solves share that path and its backward-error refusal (`_solve_free`).  The
+complement S_0 left on the boundary level is the discrete
+Dirichlet-to-Neumann (Steklov-Poincare) map of the strip, so the
+Neumann-to-Dirichlet map is S_0^-1 on the weak boundary vectors and needs no
+interior values.  Only the small dense probes form G whole, as
+sum_k kron(T_k, X_k).
 
 This module never touches the spectral operator calculus: it is the
 independent cross-check for the semigroup solvers and boundary maps.
@@ -29,10 +35,11 @@ independent cross-check for the semigroup solvers and boundary maps.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import zgetrf, zgetrs
 
 from .coeffs import CoefficientField
@@ -152,12 +159,13 @@ class StripMesh:
 
 @dataclass(frozen=True)
 class OracleSolution:
-    """Discrete solution values u at mesh nodes, with the assembled form."""
+    """Discrete solution values u at mesh nodes, with the boundary row of
+    the form: boundary_form[a] = a(u, phi_a) over the boundary basis."""
 
     mesh: StripMesh
     values: np.ndarray  # (n_tlevels,) + grid.shape
     kind: str  # neumann | regularity
-    form: sp.csr_matrix = field(repr=False, default=None)
+    boundary_form: np.ndarray = field(repr=False)  # (N^n,)
     info: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -170,13 +178,9 @@ class OracleSolution:
         object.__setattr__(self, "values", v)
         v.setflags(write=False)
 
-    def boundary_trace(self) -> np.ndarray:
-        return self.values[0].copy()
-
     def energy(self) -> float:
         """Discrete Dirichlet energy Re a(u, u) (with the actual A)."""
-        u = self.values.ravel()
-        return float(np.real(np.vdot(u, self.form @ u)))
+        return self.info["energy"]
 
 
 def _gauss01(ngauss: int):
@@ -190,25 +194,10 @@ def _shift_samples(grid: GridSpec, samples: np.ndarray, delta) -> np.ndarray:
 
     samples: grid.shape + trailing dims; delta: per-axis offsets.
     """
-    trail = samples.ndim - grid.n
-    moved = np.moveaxis(samples, tuple(range(grid.n)), tuple(range(-grid.n, 0)))
-    fh = np.fft.fftn(moved, axes=tuple(range(-grid.n, 0)))
-    xi = grid.frequencies()
-    phase = np.zeros(grid.shape, dtype=complex)
-    for ax in range(grid.n):
-        phase = phase + xi[ax] * delta[ax]
-    fh = fh * np.exp(1j * phase)
-    out = np.fft.ifftn(fh, axes=tuple(range(-grid.n, 0)))
-    return np.moveaxis(out, tuple(range(-grid.n, 0)), tuple(range(grid.n)))
-
-
-# P1 shape values on the unit interval: PH[a, g] = value of node-a shape at
-# gauss point g, and the (constant) derivatives are (-1, +1)/h.
-
-def _shape_tables(sg: np.ndarray):
-    PH = np.stack([1.0 - sg, sg])
-    DH = np.stack([-np.ones_like(sg), np.ones_like(sg)])
-    return PH, DH
+    axes = tuple(range(grid.n))
+    phase = sum(xi * d for xi, d in zip(grid.frequencies(), delta))
+    phase = np.exp(1j * phase).reshape(grid.shape + (1,) * (samples.ndim - grid.n))
+    return np.fft.ifftn(np.fft.fftn(samples, axes=axes) * phase, axes=axes)
 
 
 def _x_cells(samples: np.ndarray, grid: GridSpec, ngauss: int):
@@ -218,49 +207,29 @@ def _x_cells(samples: np.ndarray, grid: GridSpec, ngauss: int):
     the row shape of x-vertex a (its x_p-derivative for p >= 1) times the
     column shape of x-vertex b (its x_q-derivative for q >= 1); direction 0
     is t, so there the shape value itself stands.  xnode[j, a] is the grid
-    index of x-vertex a of x-cell j.
+    index of x-vertex a of x-cell j.  Vertices and Gauss points are
+    numbered axis by axis, the last axis fastest.
     """
-    n = grid.n
-    N = grid.N
-    h = grid.h
+    n, N, h = grid.n, grid.N, grid.h
     sg, wg = _gauss01(ngauss)
-    PH, DH = _shape_tables(sg)
-    U = [PH, DH / h]  # index by whether the direction is this x axis
-
-    # one shifted copy of the coefficient samples per gauss offset
-    if n == 1:
-        A_g = np.stack([_shift_samples(grid, samples, (s * h,)) for s in sg])
-        X = np.empty((2, 2, N, 2, 2), dtype=complex)
-        for p in range(2):
-            for q in range(2):
-                X[p, q] = np.einsum(
-                    "g,gj,ag,bg->jab", h * wg, A_g[:, :, p, q], U[int(p == 1)], U[int(q == 1)]
-                )
-    else:  # trilinear elements
-        offsets = [(s1 * h, s2 * h) for s1 in sg for s2 in sg]
-        A_g = np.stack([_shift_samples(grid, samples, d) for d in offsets])
-        A_g = A_g.reshape((ngauss, ngauss, N, N, 3, 3))
-        X = np.empty((3, 3, N, N, 2, 2, 2, 2), dtype=complex)  # [p,q,j1,j2,a1,a2,b1,b2]
-        for p in range(3):
-            for q in range(3):
-                X[p, q] = np.einsum(
-                    "g,f,gfjk,ag,cf,bg,df->jkacbd",
-                    h * wg,
-                    h * wg,
-                    A_g[:, :, :, :, p, q],
-                    U[int(p == 1)],
-                    U[int(p == 2)],
-                    U[int(q == 1)],
-                    U[int(q == 2)],
-                    optimize=True,
-                )
-        X = X.reshape((3, 3, N * N, 4, 4))
-
+    PH = np.stack([1.0 - sg, sg])  # PH[a, g]: P1 shape of node a at gauss point g
+    U = [PH, np.stack([-np.ones_like(sg), np.ones_like(sg)]) / h]  # value, derivative
+    # shape[d, a, g]: the tensor-product shape of x-vertex a at gauss point g,
+    # differentiated along direction d (d = 0 is t: no x-derivative)
+    shape = np.ones((1 + n, 1, 1))
+    weight = np.ones(1)
     shifted = (np.arange(N)[:, None] + np.arange(2)) % N  # [j, a] per axis
-    if n == 1:
-        xnode = shifted
-    else:
-        xnode = (shifted[:, None, :, None] * N + shifted[None, :, None, :]).reshape(N * N, 4)
+    xnode = np.zeros((1, 1), dtype=int)
+    for ax in range(n):
+        shape = np.stack([np.kron(shape[d], U[int(d == ax + 1)]) for d in range(1 + n)])
+        weight = np.kron(weight, h * wg)
+        xnode = (xnode[:, None, :, None] * N + shifted[None, :, None, :]).reshape(N ** (ax + 1), -1)
+    # one shifted copy of the coefficient samples per gauss point
+    A_g = np.stack(
+        [_shift_samples(grid, samples, np.multiply(s, h)) for s in itertools.product(sg, repeat=n)]
+    )
+    A_g = A_g.reshape((len(weight), grid.npoints) + A_g.shape[-2:])
+    X = np.einsum("g,gjpq,pag,qbg->pqjab", weight, A_g, shape, shape, optimize=True)
     return X, xnode
 
 
@@ -285,8 +254,8 @@ def _form_factors(samples: np.ndarray, grid: GridSpec, t_nodes: np.ndarray, ngau
     diagonal, upper and lower diagonal of the four tridiagonal t-matrices,
     shapes (4, M+1), (4, M), (4, M); X is the four N^n x N^n x-matrices
     Kx = X_00, C1 = sum_q X_0q, C2 = sum_p X_p0 and Mx = sum_pq X_pq
-    (p, q >= 1) as CSR.  Ordered level by level, block (i, j) of G is
-    sum_k T_k[i, j] X_k.
+    (p, q >= 1), dense, shape (4, N^n, N^n).  Ordered level by level, block
+    (i, j) of G is sum_k T_k[i, j] X_k.  No boundary conditions are applied.
     """
     dts = np.diff(t_nodes)
     scale = np.stack([1.0 / dts, np.ones_like(dts), np.ones_like(dts), dts])
@@ -297,32 +266,57 @@ def _form_factors(samples: np.ndarray, grid: GridSpec, t_nodes: np.ndarray, ngau
 
     Xc, xnode = _x_cells(samples, grid, ngauss)
     npts, nv = xnode.shape
-    rows = np.broadcast_to(xnode[:, :, None], (npts, nv, nv)).ravel()
-    cols = np.broadcast_to(xnode[:, None, :], (npts, nv, nv)).ravel()
-    groups = (Xc[0, 0], Xc[0, 1:].sum(axis=0), Xc[1:, 0].sum(axis=0), Xc[1:, 1:].sum(axis=(0, 1)))
-    X = [sp.csr_matrix((x.ravel(), (rows, cols)), shape=(npts, npts)) for x in groups]
-    return (diag, cells[:, :, 0, 1], cells[:, :, 1, 0]), X
+    groups = np.stack(
+        [Xc[0, 0], Xc[0, 1:].sum(axis=0), Xc[1:, 0].sum(axis=0), Xc[1:, 1:].sum(axis=(0, 1))]
+    )
+    # scatter the cell integrals once: entry (row, col) of X_k sits at k p^2 + row p + col
+    index = (xnode[:, :, None] * npts + xnode[:, None, :]).ravel()
+    index = (np.arange(4)[:, None] * npts**2 + index).ravel()
+    size = 4 * npts**2
+    X = np.bincount(index, weights=groups.real.ravel(), minlength=size)
+    X = X + 1j * np.bincount(index, weights=groups.imag.ravel(), minlength=size)
+    return (diag, cells[:, :, 0, 1], cells[:, :, 1, 0]), X.reshape(4, npts, npts)
 
 
-def _kron_csr(T, X) -> sp.csr_matrix:
-    """sum_k T_k (x) X_k as CSR, from the factors of _form_factors."""
+def _apply_form(T, X, U: np.ndarray) -> np.ndarray:
+    """G u for the form (T, X) of _form_factors, with U the (M+1, N^n)
+    array of level values: sum_k tridiag(T_k) U X_k^T."""
     diag, upper, lower = T
+    V = U @ X.transpose(0, 2, 1)  # V[k] = U X_k^T
+    out = np.einsum("ki,kip->ip", diag, V)
+    out[:-1] += np.einsum("ki,kip->ip", upper, V[:, 1:])
+    out[1:] += np.einsum("ki,kip->ip", lower, V[:, :-1])
+    return out
+
+
+def _form_norm1(T, X) -> float:
+    """||G||_1, the largest column sum of |G|, exactly: per t-level the
+    column sums of its three blocks, over the union sparsity pattern of the
+    X_k."""
+    diag, upper, lower = T
+    p = X.shape[1]
+    rows, cols = np.nonzero(np.any(X != 0, axis=0))
+    entries = X[:, rows, cols]  # (4, nnz)
+
+    def column_sums(coef):  # per level i, the column sums of |sum_k coef[k, i] X_k|
+        blocks = np.abs(coef.T @ entries)
+        index = np.arange(len(blocks))[:, None] * p + cols
+        size = len(blocks) * p
+        return np.bincount(index.ravel(), weights=blocks.ravel(), minlength=size).reshape(-1, p)
+
+    sums = column_sums(diag)
+    sums[1:] += column_sums(upper)  # U_{j-1} = G[j-1, j] sits in the columns of level j
+    sums[:-1] += column_sums(lower)  # L_j = G[j+1, j]
+    return float(sums.max())
+
+
+def _dense_form(samples: np.ndarray, grid: GridSpec, t_nodes: np.ndarray, ngauss: int):
+    """The form as one dense matrix, sum_k T_k (x) X_k (for small probes)."""
+    (diag, upper, lower), X = _form_factors(samples, grid, t_nodes, ngauss)
     return sum(
-        sp.kron(sp.diags((lower[k], diag[k], upper[k]), (-1, 0, 1)), X[k], format="csr")
+        np.kron(np.diag(diag[k]) + np.diag(upper[k], 1) + np.diag(lower[k], -1), X[k])
         for k in range(4)
     )
-
-
-def assemble_form(
-    samples: np.ndarray,
-    grid: GridSpec,
-    t_nodes: np.ndarray,
-    ngauss: int = 2,
-) -> sp.csr_matrix:
-    """Global sesquilinear-form matrix a(u, phi) = sum A grad u . grad phi
-    over the strip, for pointwise coefficient samples of shape
-    grid.shape + (1+n, 1+n).  No boundary conditions are applied."""
-    return _kron_csr(*_form_factors(samples, grid, t_nodes, ngauss))
 
 
 def _factor(S: np.ndarray, level: int):
@@ -357,8 +351,8 @@ def _level_sweep(
     """
     diag, upper, lower = T
     M = upper.shape[1]
-    p = X[0].shape[0]
-    stack = np.stack([x.toarray().ravel() for x in X])  # (4, p^2)
+    p = X.shape[1]
+    stack = X.reshape(4, -1)
 
     def block(coef):  # sum_k coef[k] X_k
         return (coef @ stack).reshape(p, p)
@@ -385,17 +379,6 @@ def _level_sweep(
     return u
 
 
-def _check_backward_error(G: sp.csr_matrix, u: np.ndarray, residual: np.ndarray, rhs: np.ndarray):
-    """Refuse a free-level solution whose normwise backward error, in
-    1-norms, exceeds _BACKWARD_TOL: |residual| <= tol (|G| |u| + |rhs|)."""
-    scale = abs(G).sum(axis=0).max() * np.linalg.norm(u, 1) + np.linalg.norm(rhs, 1)
-    err = np.linalg.norm(residual, 1)
-    if not err <= _BACKWARD_TOL * scale:
-        raise SingularFormError(
-            f"level sweep backward error {err / max(scale, 1e-300):.1e} > {_BACKWARD_TOL:.0e}"
-        )
-
-
 def _boundary_symbol(grid: GridSpec, ngauss: int) -> np.ndarray:
     """Per-mode symbol of the weak boundary pairing: the weak vector of the
     exponential mode m is sigma(m) * exp(i m x_a)."""
@@ -405,9 +388,7 @@ def _boundary_symbol(grid: GridSpec, ngauss: int) -> np.ndarray:
     sig1 = np.zeros(grid.N, dtype=complex)
     for s, w in zip(sg, wg):
         sig1 += h * w * (np.exp(1j * k * s * h) * (1 - s) + np.exp(1j * k * (s - 1) * h) * s)
-    if grid.n == 1:
-        return sig1
-    return np.multiply.outer(sig1, sig1)
+    return functools.reduce(np.multiply.outer, [sig1] * grid.n)
 
 
 def _boundary_weak(grid: GridSpec, ell: np.ndarray, ngauss: int) -> np.ndarray:
@@ -421,6 +402,29 @@ def _weak_to_field(grid: GridSpec, weak: np.ndarray, ngauss: int) -> np.ndarray:
     """Invert the weak boundary pairing back to nodal samples."""
     sig = _boundary_symbol(grid, ngauss)
     return ifftn(grid, fftn(grid, weak) / sig)
+
+
+def _solve_free(T, X, w: np.ndarray, first: int, load: np.ndarray):
+    """Solve G_II u = load - (G w)_I on the free levels I = first..M-1.
+
+    w holds values on every level; the result is v = w + u and G v, both
+    (M+1, N^n).  A solution whose normwise backward error, in 1-norms,
+    exceeds _BACKWARD_TOL is refused: |residual| <= tol (|G| |u| + |rhs|).
+    """
+    M = len(w) - 1
+    rhs = load - _apply_form(T, X, w)[first:M]
+    u = _level_sweep(T, X, first, rhs)
+    v = w.copy()
+    v[first:M] += u
+    Gv = _apply_form(T, X, v)
+    # (G v) on the free levels minus the load is G_II u - rhs, the residual
+    err = np.abs(Gv[first:M] - load).sum()
+    scale = _form_norm1(T, X) * np.abs(u).sum() + np.abs(rhs).sum()
+    if not err <= _BACKWARD_TOL * scale:
+        raise SingularFormError(
+            f"level sweep backward error {err / max(scale, 1e-300):.1e} > {_BACKWARD_TOL:.0e}"
+        )
+    return v, Gv
 
 
 def energy_solve_neumann(
@@ -441,16 +445,9 @@ def energy_solve_neumann(
         raise ValueError("Neumann datum must be mean-zero")
 
     T, X = _form_factors(A.samples, grid, mesh.t_nodes, ngauss)
-    G = _kron_csr(T, X)
-    npts = grid.npoints
-    nfree = mesh.M * npts  # all t-levels except the top
-    rhs = np.zeros((mesh.M, npts), dtype=complex)
-    rhs[0] = _boundary_weak(grid, ell, ngauss).ravel()
-    u = np.zeros(mesh.n_nodes, dtype=complex)
-    u[:nfree] = _level_sweep(T, X, 0, rhs).ravel()
-    Gu = G @ u
-    _check_backward_error(G, u, Gu[:nfree] - rhs.ravel(), rhs)
-
+    load = np.zeros((mesh.M, grid.npoints), dtype=complex)
+    load[0] = _boundary_weak(grid, ell, ngauss).ravel()
+    u, Gu = _solve_free(T, X, np.zeros((mesh.n_tlevels, grid.npoints), dtype=complex), 0, load)
     energy = float(np.real(np.vdot(u, Gu)))
     lnorm = sobolev_norm(grid, ell, -0.5)
     info = {
@@ -459,7 +456,7 @@ def energy_solve_neumann(
         "energy_ratio": energy / max(lnorm**2, 1e-300),
         "ngauss": ngauss,
     }
-    return OracleSolution(mesh, u.reshape((mesh.n_tlevels,) + grid.shape), "neumann", G, info)
+    return OracleSolution(mesh, u.reshape((mesh.n_tlevels,) + grid.shape), "neumann", Gu[0], info)
 
 
 def energy_solve_regularity(
@@ -480,30 +477,21 @@ def energy_solve_regularity(
     if f.shape != grid.shape:
         raise ValueError("regularity datum must be a scalar grid field")
     T, X = _form_factors(A.samples, grid, mesh.t_nodes, ngauss)
-    G = _kron_csr(T, X)
-    npts = grid.npoints
-    ntot = mesh.n_nodes
     if lifting is None:
-        w = np.zeros(ntot, dtype=complex)
-        w[:npts] = f.ravel()
-    else:
-        w = np.ascontiguousarray(lifting, dtype=complex).ravel()
-        if w.shape != (ntot,):
-            raise ValueError("lifting must cover all mesh nodes")
-        if not np.allclose(w[:npts], f.ravel(), atol=1e-12 * max(1.0, float(np.max(np.abs(f))))):
-            raise ValueError("lifting does not match the boundary datum")
-        if np.any(w[-npts:] != 0):
-            raise ValueError("lifting must vanish at the top boundary")
-    interior = slice(npts, mesh.M * npts)
-    rhs = -(G @ w)[interior]
-    u_int = _level_sweep(T, X, 1, rhs.reshape(mesh.M - 1, npts)).ravel()
-    v = w.copy()
-    v[interior] += u_int
-    Gv = G @ v
-    # (G v) on the interior is G_II u_int - rhs, the residual of the sweep
-    _check_backward_error(G, u_int, Gv[interior], rhs)
+        lifting = np.zeros((mesh.n_tlevels,) + grid.shape, dtype=complex)
+        lifting[0] = f
+    w = np.ascontiguousarray(lifting, dtype=complex).ravel()
+    if w.shape != (mesh.n_nodes,):
+        raise ValueError("lifting must cover all mesh nodes")
+    w = w.reshape(mesh.n_tlevels, grid.npoints)
+    if not np.allclose(w[0], f.ravel(), atol=1e-12 * max(1.0, float(np.max(np.abs(f))))):
+        raise ValueError("lifting does not match the boundary datum")
+    if np.any(w[-1] != 0):
+        raise ValueError("lifting must vanish at the top boundary")
+    load = np.zeros((mesh.M - 1, grid.npoints), dtype=complex)
+    v, Gv = _solve_free(T, X, w, 1, load)
     info = {"ngauss": ngauss, "energy": float(np.real(np.vdot(v, Gv)))}
-    return OracleSolution(mesh, v.reshape((mesh.n_tlevels,) + grid.shape), "regularity", G, info)
+    return OracleSolution(mesh, v.reshape((mesh.n_tlevels,) + grid.shape), "regularity", Gv[0], info)
 
 
 def extract_conormal(sol: OracleSolution, ngauss: int | None = None) -> np.ndarray:
@@ -511,10 +499,8 @@ def extract_conormal(sol: OracleSolution, ngauss: int | None = None) -> np.ndarr
     discrete bilinear identity <ell, phi> = a(u, phi) over the boundary
     basis functions; returns nodal samples of ell."""
     grid = sol.mesh.grid
-    npts = grid.npoints
     ng = ngauss if ngauss is not None else sol.info.get("ngauss", 2)
-    weak = (sol.form @ sol.values.ravel())[:npts].reshape(grid.shape)
-    return _weak_to_field(grid, weak, ng)
+    return _weak_to_field(grid, sol.boundary_form.reshape(grid.shape), ng)
 
 
 def gamma_nd_variational(
@@ -596,19 +582,18 @@ def uniqueness_probe(
     T = 2.0 * grid.L if T_max is None else float(T_max)
     half = np.linspace(0.0, T, M + 1)
     doubled = np.concatenate([-half[::-1][:-1], half]) + T  # shift to start at 0
-    G = assemble_form(samples, grid, doubled, ngauss).toarray()
+    G = _dense_form(samples, grid, doubled, ngauss)
     sv = np.linalg.svd(G, compute_uv=False)
     scale = sv[0]
     kernel_dim = int(np.sum(sv <= 1e-8 * scale))
-    herm = 0.5 * (G + G.conj().T)
-    herm_min = float(np.min(np.linalg.eigvalsh(herm)))
-    ok = kernel_dim == 1 and herm_min >= -1e-8 * scale
+    herm_min = float(np.min(np.linalg.eigvalsh(0.5 * (G + G.conj().T))))
+    accretive = bool(herm_min >= -1e-8 * scale)
     return {
         "kernel_dim": kernel_dim,
         "smallest_svs": sv[-3:][::-1].tolist(),
         "herm_min": herm_min,
-        "accretive_ok": bool(herm_min >= -1e-8 * scale),
-        "ok": bool(ok),
+        "accretive_ok": accretive,
+        "ok": kernel_dim == 1 and accretive,
     }
 
 
@@ -619,12 +604,10 @@ def coercivity_check(A: CoefficientField, mesh: StripMesh, ngauss: int = 2) -> d
     import scipy.linalg
 
     grid = A.grid
-    eye = np.broadcast_to(
-        np.eye(1 + grid.n), grid.shape + (1 + grid.n, 1 + grid.n)
-    ).copy()
+    eye = np.broadcast_to(np.eye(1 + grid.n), A.samples.shape)
     nfree = mesh.M * grid.npoints
-    G = assemble_form(A.samples, grid, mesh.t_nodes, ngauss).toarray()[:nfree, :nfree]
-    E = assemble_form(eye, grid, mesh.t_nodes, ngauss).toarray()[:nfree, :nfree]
+    G = _dense_form(A.samples, grid, mesh.t_nodes, ngauss)[:nfree, :nfree]
+    E = _dense_form(eye, grid, mesh.t_nodes, ngauss)[:nfree, :nfree]
     GH = 0.5 * (G + G.conj().T)
     EH = 0.5 * (E + E.conj().T)
     vals = scipy.linalg.eigh(GH, EH, eigvals_only=True)
@@ -641,25 +624,21 @@ def strip_gradient(sol: OracleSolution) -> np.ndarray:
     n = grid.n
     out = np.empty((mesh.M,) + grid.shape + (1 + n,), dtype=complex)
     lo, hi = u[:-1], u[1:]
-    # average over the cell's x-nodes of the t-difference
-    dt_part = (hi - lo) / dts.reshape((-1,) + (1,) * n)
-    if n == 1:
-        out[..., 0] = 0.5 * (dt_part + np.roll(dt_part, -1, axis=1))
-        mid = 0.5 * (lo + hi)
-        out[..., 1] = (np.roll(mid, -1, axis=1) - mid) / grid.h
-    else:
-        out[..., 0] = 0.25 * (
-            dt_part
-            + np.roll(dt_part, -1, axis=1)
-            + np.roll(dt_part, -1, axis=2)
-            + np.roll(np.roll(dt_part, -1, axis=1), -1, axis=2)
-        )
-        mid = 0.5 * (lo + hi)
-        d1 = (np.roll(mid, -1, axis=1) - mid) / grid.h
-        out[..., 1] = 0.5 * (d1 + np.roll(d1, -1, axis=2))
-        d2 = (np.roll(mid, -1, axis=2) - mid) / grid.h
-        out[..., 2] = 0.5 * (d2 + np.roll(d2, -1, axis=1))
+    xaxes = range(1, n + 1)
+    # d_t u: the t-difference averaged over the cell's x-nodes
+    out[..., 0] = _cell_average((hi - lo) / dts.reshape((-1,) + (1,) * n), xaxes)
+    mid = 0.5 * (lo + hi)
+    for ax in xaxes:  # d_x u: the x-difference averaged over the other x axes
+        d = (np.roll(mid, -1, axis=ax) - mid) / grid.h
+        out[..., ax] = _cell_average(d, [a for a in xaxes if a != ax])
     return out
+
+
+def _cell_average(f: np.ndarray, axes) -> np.ndarray:
+    """Average of nodal values over the two nodes of each cell along axes."""
+    for ax in axes:
+        f = 0.5 * (f + np.roll(f, -1, axis=ax))
+    return f
 
 
 def semigroup_strip_gradient(handle, mesh: StripMesh) -> np.ndarray:

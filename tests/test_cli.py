@@ -124,6 +124,10 @@ def test_bad_config_exit_code(tmp_path):
     ("verify", {"hat_samples": -5}, "hat_samples"),
     ("verify", {"per_family": 0}, "per_family"),
     ("rellich", {"per_family": -1}, "per_family"),
+    ("convergence", {"ladder": [16]}, "ladder"),
+    ("convergence", {"band": [1]}, "band"),
+    ("rellich", {"per_family": [1]}, "per_family"),
+    ("rellich", {"N_list": [[8]]}, "N_list"),
 ])
 def test_bad_counts_exit_code(tmp_path, capsys, sub, options, name):
     cfg = tmp_path / "c.json"
@@ -141,6 +145,18 @@ def test_zero_hat_samples_skips_the_sweep(tmp_path):
                 "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "verify_report.json").read_text().split("\n", 1)[1])
     assert doc["hat_involution_sweep"] == {"samples": 0, "max_error": 0.0}
+
+
+@pytest.mark.parametrize("datum", [5, ["cos(x1)"], None, "missing"])
+def test_dirichlet_datum_must_be_an_expression(tmp_path, capsys, datum):
+    options = {"problem": "dirichlet"}
+    if datum != "missing":
+        options["datum"] = datum
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"options": options}))
+    assert run(["solve", "--config", str(cfg), "--grid", "16", "--out", str(tmp_path)]) == 2
+    assert "'datum'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("solve_*"))
 
 
 def test_unknown_problem_exit_code(tmp_path):

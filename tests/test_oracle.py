@@ -20,8 +20,12 @@ from halfspace.oracle import (
     StripMesh,
     _boundary_weak,
     _grading_ratio,
+    _apply_form,
+    _form_factors,
+    _form_norm1,
+    _gauss01,
+    _shift_samples,
     _x_cells,
-    assemble_form,
     coercivity_check,
     energy_solve_neumann,
     energy_solve_regularity,
@@ -60,6 +64,21 @@ def test_graded_mesh_ratio_solves_the_length_equation(N, M):
     assert np.isclose(mesh.t_nodes[1], d0, rtol=1e-15)
 
 
+def test_neumann_solve_imports_no_sparse_matrices():
+    src = str(Path(halfspace.__file__).resolve().parents[1])
+    code = (
+        "import sys, numpy as np, halfspace\n"
+        "from halfspace.coeffs import make_family\n"
+        "from halfspace.oracle import StripMesh, energy_solve_neumann\n"
+        "grid = halfspace.GridSpec(n=1, N=16, L=2 * np.pi)\n"
+        "ell = np.cos(grid.points()[0]).astype(complex)\n"
+        "energy_solve_neumann(make_family(grid, 'smooth_trig'), ell, StripMesh.graded(grid, 16))\n"
+        "assert 'scipy.sparse' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
 def test_graded_mesh_imports_no_root_finder():
     src = str(Path(halfspace.__file__).resolve().parents[1])
     code = (
@@ -70,6 +89,47 @@ def test_graded_mesh_imports_no_root_finder():
     )
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+# The per-dimension x-cell integrals that the tensor-product shape tables
+# replaced: one einsum per coefficient entry, written out for n = 1 and n = 2.
+def _x_cells_per_dimension(samples, grid, ngauss):
+    N, h = grid.N, grid.h
+    sg, wg = _gauss01(ngauss)
+    U = [np.stack([1.0 - sg, sg]), np.stack([-np.ones_like(sg), np.ones_like(sg)]) / h]
+    if grid.n == 1:
+        A_g = np.stack([_shift_samples(grid, samples, (s * h,)) for s in sg])
+        X = np.empty((2, 2, N, 2, 2), dtype=complex)
+        for p in range(2):
+            for q in range(2):
+                X[p, q] = np.einsum(
+                    "g,gj,ag,bg->jab", h * wg, A_g[:, :, p, q], U[int(p == 1)], U[int(q == 1)]
+                )
+        return X
+    A_g = np.stack([_shift_samples(grid, samples, (s1 * h, s2 * h)) for s1 in sg for s2 in sg])
+    A_g = A_g.reshape((ngauss, ngauss, N, N, 3, 3))
+    X = np.empty((3, 3, N, N, 2, 2, 2, 2), dtype=complex)  # [p,q,j1,j2,a1,a2,b1,b2]
+    for p in range(3):
+        for q in range(3):
+            X[p, q] = np.einsum(
+                "g,f,gfjk,ag,cf,bg,df->jkacbd", h * wg, h * wg, A_g[:, :, :, :, p, q],
+                U[int(p == 1)], U[int(p == 2)], U[int(q == 1)], U[int(q == 2)],
+            )
+    return X.reshape((3, 3, N * N, 4, 4))
+
+
+@pytest.mark.parametrize("ngauss", [2, 4])
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 8), (2, 16)])
+def test_x_cells_match_per_dimension_einsums(n, N, ngauss):
+    grid = GridSpec(n=n, N=N, L=2 * np.pi)
+    A = make_family(grid, "piecewise_random", seed=5)
+    X, xnode = _x_cells(A.samples, grid, ngauss)
+    ref = _x_cells_per_dimension(A.samples, grid, ngauss)
+    assert np.max(np.abs(X - ref)) <= 1e-14 * np.max(np.abs(ref))
+    shifted = (np.arange(N)[:, None] + np.arange(2)) % N  # x-vertex a of cell j, per axis
+    if n == 2:
+        shifted = (shifted[:, None, :, None] * N + shifted[None, :, None, :]).reshape(N * N, 4)
+    assert np.array_equal(xnode, shifted)
 
 
 # The per-cell route that the Kronecker assembly replaced: a 6-D element
@@ -106,6 +166,16 @@ def _element_scatter_form(samples, grid, t_nodes, ngauss):
     ).tocsr()
 
 
+# The global form as CSR, sum_k sp.kron(T_k, X_k) from the factors the
+# oracle works with; the referee for its factored G u and ||G||_1.
+def _kron_csr(samples, grid, t_nodes, ngauss=2):
+    (diag, upper, lower), X = _form_factors(samples, grid, t_nodes, ngauss)
+    return sum(
+        sp.kron(sp.diags((lower[k], diag[k], upper[k]), (-1, 0, 1)), sp.csr_matrix(X[k]), format="csr")
+        for k in range(4)
+    )
+
+
 # The level sweep against a general sparse LU of the same free form.
 REFEREE_MESHES = [(1, 32, 96), (2, 8, 16)]
 
@@ -118,16 +188,34 @@ def test_kronecker_form_matches_element_scatter(n, N, M, kind, ngauss):
     A = make_family(grid, kind, seed=3)
     mesh = StripMesh.graded(grid, M)
     ref = _element_scatter_form(A.samples, grid, mesh.t_nodes, ngauss)
-    got = assemble_form(A.samples, grid, mesh.t_nodes, ngauss)
+    got = _kron_csr(A.samples, grid, mesh.t_nodes, ngauss)
     assert got.nnz == ref.nnz
     assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@pytest.mark.parametrize("n,N,M", REFEREE_MESHES)
+def test_factored_product_and_norm_match_csr(n, N, M, kind):
+    grid = GridSpec(n=n, N=N, L=2 * np.pi)
+    A = make_family(grid, kind, seed=3)
+    mesh = StripMesh.graded(grid, M)
+    T, X = _form_factors(A.samples, grid, mesh.t_nodes, 2)
+    G = _kron_csr(A.samples, grid, mesh.t_nodes)
+    rng = np.random.default_rng(N)
+    U = rng.standard_normal((mesh.n_tlevels, grid.npoints)) + 1j * rng.standard_normal(
+        (mesh.n_tlevels, grid.npoints)
+    )
+    ref = G @ U.ravel()
+    assert _rel(_apply_form(T, X, U).ravel(), ref) <= 1e-14
+    norm1 = abs(G).sum(axis=0).max()
+    assert abs(_form_norm1(T, X) - norm1) <= 1e-14 * norm1
 
 
 def _referee_case(n, N, M, kind, seed):
     grid = GridSpec(n=n, N=N, L=2 * np.pi)
     A = make_family(grid, kind, seed=seed)
     mesh = StripMesh.graded(grid, M)
-    G = assemble_form(A.samples, grid, mesh.t_nodes)
+    G = _kron_csr(A.samples, grid, mesh.t_nodes)
     return grid, A, mesh, G, np.random.default_rng(100 * seed + N)
 
 
@@ -187,7 +275,7 @@ def test_level_sweep_on_two_cells(n, N):
     grid = GridSpec(n=n, N=N, L=2 * np.pi)
     A = make_family(grid, "lower_triangular_random", seed=2)
     mesh = StripMesh.uniform(grid, 2, T_max=2.0)
-    G = assemble_form(A.samples, grid, mesh.t_nodes)
+    G = _kron_csr(A.samples, grid, mesh.t_nodes)
     _assert_sweep_matches_sparse_lu(grid, A, mesh, G, np.random.default_rng(N))
 
     zero = SimpleNamespace(grid=grid, samples=np.zeros(grid.shape + (1 + n, 1 + n), dtype=complex))
