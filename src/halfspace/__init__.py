@@ -44,7 +44,6 @@ from .operators import (
     assemble_operators,
     assemble_S,
     assemble_calB,
-    fractional_power,
     kato_check,
     matrix_sign,
     semigroup_apply,

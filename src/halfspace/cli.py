@@ -139,6 +139,13 @@ def _ints(values) -> list[int]:
     return [int(v) for v in values]
 
 
+def _levels(values) -> np.ndarray:
+    ts = np.atleast_1d(np.asarray(values, dtype=float))
+    if ts.ndim != 1 or ts.size == 0 or not np.all(np.isfinite(ts)):
+        raise ValueError("expected a nonempty list of finite heights")
+    return ts
+
+
 def _default_corpus(config: ExperimentConfig) -> list[dict]:
     families = _option(
         config, "families", list,
@@ -338,7 +345,7 @@ def run_solve(config: ExperimentConfig) -> int:
     else:
         raise ValueError(f"unknown problem {problem!r}")
 
-    ts = np.asarray(config.options.get("t_grid", default_t_grid(grid, 60)[:40]))
+    ts = _option(config, "t_grid", _levels, default_t_grid(grid, 60)[:40])
     strip = evaluate(handle, ts)
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -138,11 +138,13 @@ def load_coefficient_spec(spec: dict, grid: GridSpec):
     Supported kinds: {"kind": "family", "family": <name>, "seed": int, ...},
     {"kind": "expressions", "entries": [[expr, ...], ...]} with entries a
     (1+n) x (1+n) nest of mini-language strings, or {"kind": "dump",
-    "path": <field-dump base>}.
+    "path": <field-dump base>}.  A spec of any other form is a ValueError.
     """
     from .coeffs import CoefficientField, make_family
     from .expr import evaluate_expr
 
+    if not isinstance(spec, dict):
+        raise ValueError(f"coefficient spec must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "family":
         kwargs = {
@@ -156,8 +158,10 @@ def load_coefficient_spec(spec: dict, grid: GridSpec):
     if kind == "expressions":
         d = 1 + grid.n
         entries = spec["entries"]
-        if len(entries) != d or any(len(r) != d for r in entries):
-            raise ValueError(f"expression table must be {d}x{d}")
+        if not (isinstance(entries, list) and len(entries) == d
+                and all(isinstance(r, list) and len(r) == d
+                        and all(isinstance(e, str) for e in r) for r in entries)):
+            raise ValueError(f"expression table must be {d}x{d} lists of expression strings")
         samples = np.empty(grid.shape + (d, d), dtype=complex)
         for p in range(d):
             for q in range(d):

@@ -2,11 +2,13 @@
 
 All operators on H0 are represented as dense complex matrices of dimension
 2K, K = N^n - 1, acting on stacked coefficient vectors (perpendicular slot
-first).  The functional calculus (sign, semigroups, fractional powers) is
-eigendecomposition-based.  The sign function has a second route, the
-determinant-scaled Newton iteration, which needs no eigenbasis: it serves
-the callers that need only sgn, checks the eigen route, and replaces it
-when an eigenbasis is ill-conditioned.
+first).  The functional calculus (sign, semigroups, quadratic-norm
+functions) is eigendecomposition-based.  Of the two first-order operators
+only uT = S calB is factored: T = calB S = S^-1 uT S shares its calculus
+through S, so exp(-t T) = S^-1 exp(-t uT) S.  The sign function has a
+second route, the determinant-scaled Newton iteration, which needs no
+eigenbasis: it serves the callers that need only sgn, checks the eigen
+route, and replaces it when an eigenbasis is ill-conditioned.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "UnreliableDecompositionError",
     "InvolutionError",
     "decompose",
-    "decompose_T_from_uT",
     "assemble_S",
     "assemble_calB",
     "assemble_operators",
@@ -39,7 +40,6 @@ __all__ = [
     "plus_coefficients",
     "semigroup_apply",
     "spectral_columns",
-    "fractional_power",
     "kato_check",
     "weight_vector",
     "weighted",
@@ -128,33 +128,7 @@ def decompose(op: OperatorMatrix) -> SpectralDecomposition:
     if dec is not None:
         return dec
     lam, W = np.linalg.eig(op.matrix)
-    return _keep_decomposition(op, lam, W, np.linalg.inv(W))
-
-
-def decompose_T_from_uT(T: OperatorMatrix, uT: OperatorMatrix) -> SpectralDecomposition:
-    """Eigendecomposition of T = calB S taken from that of uT = S calB.
-
-    T = S^-1 uT S, so T's eigenvectors are S^-1 W, scaled to unit columns
-    as eig returns them, and their inverse is W^-1 S with the rows scaled
-    back; S = assemble_S(grid) is anti-diagonal, so both cost O(dim^2).
-    The result is checked and kept on T exactly as decompose's own.
-    """
-    dec = T.__dict__.get("_decomposition")
-    if dec is not None:
-        return dec
-    base = decompose(uT)
-    K = T.grid.nmodes
-    w = T.grid.mode_magnitudes()
-    W, Winv = base.vectors, base.vectors_inv
-    Z = np.concatenate([W[K:] / w[:, None], W[:K] / w[:, None]])  # S^-1 W
-    scale = np.linalg.norm(Z, axis=0)
-    Z /= scale
-    Zinv = np.concatenate([Winv[:, K:] * w, Winv[:, :K] * w], axis=1)  # W^-1 S
-    Zinv *= scale[:, None]
-    return _keep_decomposition(T, base.eigenvalues, Z, Zinv)
-
-
-def _keep_decomposition(op, lam, W, Winv) -> SpectralDecomposition:
+    Winv = np.linalg.inv(W)
     cond = float(np.linalg.cond(W))
     margin = float(np.min(np.abs(lam.real)))
     recon = (W * lam) @ Winv
@@ -474,19 +448,6 @@ def log_t_levels(op: OperatorMatrix, npoints: int, lo: float = 1e-4) -> np.ndarr
     cover the decay of every eigenmode of op."""
     mags = np.abs(decompose(op).eigenvalues)
     return np.geomspace(lo / float(np.max(mags)), 1e4 / float(np.min(mags)), npoints)
-
-
-def fractional_power(op: OperatorMatrix, s: float) -> OperatorMatrix:
-    """|op|^s via eigenvalue magnitudes; |op|^1 = sgn(op) op."""
-    if not -1.0 <= s <= 1.0:
-        raise ValueError("fractional power exponent outside [-1, 1]")
-    dec = decompose(op)
-    if not dec.reliable:
-        raise UnreliableDecompositionError(
-            "unreliable eigendecomposition; refusing fractional power"
-        )
-    m = dec.function_matrix(lambda lam: np.abs(lam) ** s + 0j)
-    return OperatorMatrix(op.grid, m)
 
 
 def kato_check(

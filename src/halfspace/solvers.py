@@ -3,8 +3,9 @@
 Each solver produces an immutable handle holding a graph vector in the +
 spectral subspace; evaluation on the strip is pure semigroup application.
 In V-coordinates the conormal gradient satisfies the first-order ODE
-d/dt p + uT p = 0, so p(t) = exp(-t uT) p(0), and the Dirichlet potential
-is recovered from u = -(exp(-t T) H0~)_perp + c.
+d/dt p + uT p = 0, so p(t) = exp(-t uT) p(0).  The Dirichlet potential is
+u = -(exp(-t T) H0~)_perp + c, and T = S^-1 uT S, so it is read from the
+same columns: u = -(S^-1 exp(-t uT) S H0~)_perp + c.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .grid import (
 from .operators import (
     OperatorMatrix,
     _apply_S,
-    decompose_T_from_uT,
+    decompose,
     log_t_levels,
     plus_coefficients,
     semigroup_apply,
@@ -68,9 +69,10 @@ class SolutionHandle:
     """Immutable solver output: a graph vector plus the core it evolves by.
 
     trace is the V-coordinate vector H0 (or H0~ for the Dirichlet solve);
-    core is build_core(A), whose uT drives the conormal gradient, T the
-    Dirichlet potential and B the full gradient; gauge_c is the additive
-    constant of the potential.
+    core is build_core(A), whose uT drives the conormal gradient, and
+    through S the Dirichlet potential, and whose B gives the full gradient;
+    gauge_c is the additive constant of the potential.  The conormal
+    gradient at t = 0 must lie in the + spectral subspace of uT.
     """
 
     representation: str  # l2_neumann | l2_regularity | l2_dirichlet | energy
@@ -91,8 +93,7 @@ class SolutionHandle:
             raise ValueError("non-finite trace vector")
         object.__setattr__(self, "trace", tr)
         tr.setflags(write=False)
-        op = self.core.T if self.representation == "l2_dirichlet" else self.core.uT
-        plus_coefficients(op, tr)
+        plus_coefficients(self.core.uT, _gradient_trace(self))
 
     @property
     def grid(self) -> GridSpec:
@@ -242,8 +243,8 @@ def solve_dirichlet_l2(A: CoefficientField, u0: np.ndarray) -> SolutionHandle:
 
     Finds H0~ in the + spectral subspace of T whose perpendicular part is
     -(u0 - mean) by least squares over a basis of that subspace; the
-    potential is u = -(exp(-t T) H0~)_perp + mean(u0).  T's eigenbasis is
-    taken from uT's.
+    potential is u = -(exp(-t T) H0~)_perp + mean(u0).  T = S^-1 uT S is
+    not factored: the basis is S^-1 W for uT's eigenvectors W.
     """
     grid = A.grid
     u0 = np.ascontiguousarray(u0, dtype=complex)
@@ -256,9 +257,15 @@ def solve_dirichlet_l2(A: CoefficientField, u0: np.ndarray) -> SolutionHandle:
     target = -scalar_to_coeffs(grid, u0 - c)
 
     K = grid.nmodes
-    dec = decompose_T_from_uT(core.T, core.uT)
-    pos = dec.eigenvalues.real > 0
-    Z = dec.vectors[:, pos]  # basis of the + subspace of T
+    w = grid.mode_magnitudes()[:, None]
+    dec = decompose(core.uT)
+    W = dec.vectors
+    Z = np.concatenate([W[K:] / w, W[:K] / w])  # S^-1 W, T's eigenvectors
+    # every column is scaled to unit norm, as eig returns them, before the
+    # + ones are selected: the norms of the selection alone differ in the
+    # last bit
+    Z /= np.linalg.norm(Z, axis=0)
+    Z = Z[:, dec.eigenvalues.real > 0]  # basis of the + subspace of T
     Ztop = Z[:K]
     sv = np.linalg.svd(Ztop, compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
@@ -392,12 +399,14 @@ def evaluate(handle: SolutionHandle, t_grid) -> StripField:
     """Sample the solution on the given heights (pure, deterministic)."""
     grid = handle.grid
     ts = _strip_levels(t_grid)
-    grad = _gradient_fields(handle, ts)
     if handle.representation != "l2_dirichlet":
-        return StripField(grid, ts, "grad", grad=grad)
-    Q = spectral_columns(handle.core.T, ts, handle.trace)
-    u = -coeffs_to_scalar(grid, Q[: grid.nmodes]) + handle.gauge_c
-    return StripField(grid, ts, "both", grad=grad, u=u)
+        return StripField(grid, ts, "grad", grad=_gradient_fields(handle, ts))
+    P = spectral_columns(handle.core.uT, ts, _gradient_trace(handle))
+    # P = exp(-t uT) S H0~, so exp(-t T) H0~ = S^-1 P, whose perpendicular
+    # slot is the tangential slot of P over |xi|
+    w = grid.mode_magnitudes()[:, None]
+    u = -coeffs_to_scalar(grid, P[grid.nmodes:] / w) + handle.gauge_c
+    return StripField(grid, ts, "both", grad=vcoords_to_fields(grid, P), u=u)
 
 
 def evaluate_full_gradient(handle: SolutionHandle, t_grid) -> StripField:

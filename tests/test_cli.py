@@ -159,6 +159,30 @@ def test_dirichlet_datum_must_be_an_expression(tmp_path, capsys, datum):
     assert not list(tmp_path.glob("solve_*"))
 
 
+@pytest.mark.parametrize("coefficients, message", [
+    (5, "coefficient spec"),
+    ({"kind": "expressions", "entries": 5}, "expression table"),
+    ({"kind": "expressions", "entries": [["1", 0], ["0", "1"]]}, "expression table"),
+])
+def test_malformed_coefficient_spec_exit_code(tmp_path, capsys, coefficients, message):
+    options = {"problem": "neumann", "datum": "cos(x1)", "coefficients": coefficients}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"options": options}))
+    assert run(["solve", "--config", str(cfg), "--grid", "16", "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("solve_*"))
+
+
+@pytest.mark.parametrize("t_grid", [[[1, 2]], [], ["a"], None])
+def test_malformed_t_grid_exit_code(tmp_path, capsys, t_grid):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"options": {"problem": "neumann", "datum": "cos(x1)",
+                                           "t_grid": t_grid}}))
+    assert run(["solve", "--config", str(cfg), "--grid", "16", "--out", str(tmp_path)]) == 2
+    assert "'t_grid'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("solve_*"))
+
+
 def test_unknown_problem_exit_code(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"options": {"problem": "helmholtz", "datum": "cos(x1)"}}))

@@ -18,6 +18,7 @@ from halfspace.grid import (
     riesz_apply,
     scalar_to_coeffs,
     v_apply,
+    vcoords_to_fields,
 )
 from halfspace.operators import (
     BisectorialityError,
@@ -29,8 +30,6 @@ from halfspace.operators import (
     assemble_calB,
     assemble_operators,
     decompose,
-    decompose_T_from_uT,
-    fractional_power,
     kato_check,
     matrix_sign,
     semigroup_apply,
@@ -39,7 +38,7 @@ from halfspace.operators import (
     weighted_norm,
 )
 from halfspace.quadnorms import PsiSpec
-from halfspace.solvers import solve_dirichlet_l2
+from halfspace.solvers import SolutionHandle, evaluate, solve_dirichlet_l2
 
 
 @pytest.fixture
@@ -226,19 +225,6 @@ def test_ill_conditioned_eigenbasis_falls_back_to_newton(grid, monkeypatch):
     assert abs(np.trace(sg) - (np.sum(re > 0) - np.sum(re < 0))) <= 1e-10
 
 
-def test_fractional_power_endpoints(grid):
-    _, (S, calB, T, uT) = ops_for(grid, "lower_triangular_random", seed=7)
-    absv = fractional_power(uT, 1.0)
-    half = fractional_power(uT, 0.5)
-    assert np.linalg.norm(half.matrix @ half.matrix - absv.matrix, 2) < 1e-6
-    # self-adjoint case (A = I): |S| = sgn(S) S holds exactly
-    _, (S, _, _, uTI) = ops_for(grid, "constant")
-    sg = matrix_sign(uTI)
-    assert np.linalg.norm(
-        fractional_power(uTI, 1.0).matrix - sg.matrix @ uTI.matrix, 2
-    ) < 1e-10
-
-
 def test_weighted_norm_identity(grid):
     K = grid.nmodes
     M = np.eye(K)
@@ -323,28 +309,53 @@ def test_spectral_columns_reject_minus_component(grid):
         spectral_columns(uT, [0.0], x)
 
 
-def _dirichlet_reference(T, target):
-    # the restricted trace solve through eig(T) itself
+def _dirichlet_reference(T, target, c, ts):
+    # the restricted trace solve, and u and grad on the strip, through eig(T)
     K = T.grid.nmodes
     lam, W = np.linalg.eig(T.matrix)
-    Z = W[:, lam.real > 0]
+    pos = lam.real > 0
+    Z = W[:, pos]
     sv = np.linalg.svd(Z[:K], compute_uv=False)
     y, *_ = np.linalg.lstsq(Z[:K], target, rcond=None)
-    return Z @ y, float(sv[0] / sv[-1])
+    Q = Z @ (np.exp(-np.outer(lam[pos], ts)) * y[:, None])  # exp(-t T) H0~
+    u = -coeffs_to_scalar(T.grid, Q[:K]) + c
+    # grad_A u = S exp(-t T) H0~
+    grad = vcoords_to_fields(T.grid, assemble_S(T.grid).matrix @ Q)
+    return Z @ y, float(sv[0] / sv[-1]), u, grad
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
 @pytest.mark.parametrize("N", [32, 64])
 def test_T_decomposition_from_uT_matches_eig(N):
+    # the Dirichlet solve and evaluate take T = S^-1 uT S through uT's
+    # eigenbasis: T itself is never factored, and nothing is kept on it
     grid = GridSpec(n=1, N=N, L=2 * np.pi)
     A = make_family(grid, "lower_triangular_random", seed=13)
-    core = build_core(A)
-    dec = decompose_T_from_uT(core.T, core.uT)
-    assert decompose(core.T) is dec  # kept on T: no eig of T afterwards
-    ref = decompose(OperatorMatrix(grid, core.T.matrix.copy()))
-    assert dec.reliable == ref.reliable
-    assert np.allclose(np.linalg.norm(dec.vectors, axis=0), 1.0, atol=1e-14)
-    u0 = np.cos(grid.points()[0]) + 0.3 * np.sin(3 * grid.points()[0])
+    u0 = np.cos(grid.points()[0]) + 0.3 * np.sin(3 * grid.points()[0]) + 0.5
     hd = solve_dirichlet_l2(A, u0)
-    H0t, cond = _dirichlet_reference(core.T, -scalar_to_coeffs(grid, u0 - np.mean(u0)))
+    ts = np.concatenate([[0.0], np.geomspace(1e-2, 10.0, 12)])
+    sf = evaluate(hd, ts)
+    core = build_core(A)
+    assert "_decomposition" not in core.T.__dict__
+    H0t, cond, u, grad = _dirichlet_reference(
+        core.T, -scalar_to_coeffs(grid, u0 - np.mean(u0)), np.mean(u0), ts)
     assert np.linalg.norm(hd.trace - H0t) <= 1e-10 * np.linalg.norm(H0t)
     assert abs(hd.diagnostics["restricted_cond"] - cond) <= 1e-10 * cond
+    assert _rel(sf.u, u) <= 1e-10
+    assert _rel(sf.grad, grad) <= 1e-10
+
+
+def test_dirichlet_handle_refuses_minus_subspace_of_T():
+    # a vector of T's - spectral subspace has S times it in uT's, which the
+    # handle's gate rejects
+    grid = GridSpec(n=1, N=16, L=2 * np.pi)
+    A = make_family(grid, "lower_triangular_random", seed=14)
+    hd = solve_dirichlet_l2(A, np.cos(grid.points()[0]))
+    lam, W = np.linalg.eig(hd.core.T.matrix)
+    x = W[:, lam.real < 0] @ np.ones(int(np.sum(lam.real < 0)))
+    with pytest.raises(SubspaceError):
+        SolutionHandle("l2_dirichlet", A, x, hd.core, hd.gauge_c)
+    assert "_decomposition" not in hd.core.T.__dict__

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 import halfspace
 from halfspace.coeffs import hat_transform, make_family
 from halfspace.grid import GridSpec, scalar_to_coeffs
-from halfspace.operators import assemble_operators, decompose, fractional_power, weight_vector
+from halfspace.operators import OperatorMatrix, assemble_operators, decompose, weight_vector
 from halfspace.quadnorms import (
     PsiSpec,
     c_psi,
@@ -121,8 +121,11 @@ def test_zero_vector_norms(grid):
 
 
 def _semigroup_norm_via_abs(uT, p, s, npoints=200):
-    # reference: factor |uT| = sgn(uT) uT itself and apply exp(-t lambda)
-    dec = decompose(fractional_power(uT, 1.0))
+    # reference: assemble |uT|, with eigenvalues |lambda| (not sgn(uT) uT,
+    # whose eigenvalues are sgn(Re lambda) lambda), factor it itself and
+    # apply exp(-t lambda)
+    lam, W = np.linalg.eig(uT.matrix)
+    dec = decompose(OperatorMatrix(uT.grid, (W * np.abs(lam)) @ np.linalg.inv(W)))
     mags = np.abs(decompose(uT).eigenvalues)
     ts = np.geomspace(1e-4 / mags.max(), 1e4 / mags.min(), npoints)
     coeff = dec.vectors_inv @ p

@@ -150,13 +150,19 @@ def test_solves_of_one_field_share_its_core(grid, monkeypatch):
     A = make_family(grid, "block_diagonal_random", seed=5)
     f = cos_datum(grid)
     g = np.sin(grid.points()[0]).astype(complex)[None]
-    calls = []
-    eig = np.linalg.eig
+    calls, conds = [], []
+    eig, cond = np.linalg.eig, np.linalg.cond
     monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+    monkeypatch.setattr(np.linalg, "cond", lambda a, *p: conds.append(a.shape) or cond(a, *p))
     handles = [solve_neumann_l2(A, f), solve_regularity_l2(A, g),
                solve_energy(A, f), solve_dirichlet_l2(A, f)]
     assert len(calls) == 1
+    # the Dirichlet solve borrows uT's eigenbasis for T: one conditioning check
+    dim = 2 * grid.nmodes
+    assert conds.count((dim, dim)) == 1
     core = build_core(A)
     assert all(h.core is core for h in handles)
     residual_check(evaluate(handles[0], [0.2, 0.3, 0.4]), A)
+    evaluate(handles[3], [0.0, 0.2, 0.3])
     assert len(calls) == 1
+    assert "_decomposition" not in core.T.__dict__
