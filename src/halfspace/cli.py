@@ -16,9 +16,11 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
+import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +44,7 @@ from .coeffs import (
 from .dump import load_coefficient_spec, write_report, write_strip_field
 from .errors import NumericalError
 from .expr import ExprError, evaluate_expr
-from .grid import GridSpec, remove_mean
+from .grid import GridSpec, fftn, ifftn, remove_mean
 from .operators import (
     OperatorMatrix,
     kato_check,
@@ -67,6 +69,12 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
+# accepted JSON type of each config field, by its annotation
+_FIELD_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
+                "float": ((int, float), "a number"), "bool": (bool, "true or false"),
+                "dict": (dict, "a JSON object")}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     subcommand: str
@@ -81,43 +89,43 @@ class ExperimentConfig:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, what = _FIELD_TYPES[f.type]
+            # bool is an int subclass, but true is not a grid size
+            if not isinstance(value, kind) or (isinstance(value, bool) and f.type != "bool"):
+                raise ValueError(f"config field {f.name!r} must be {what}, got {value!r}")
+        if not 0 < self.L < math.inf:  # NaN fails too
+            raise ValueError(f"config field 'L' must be finite and positive, got {self.L!r}")
         if self.format not in ("csv", "json"):
-            raise ValueError(f"unknown report format {self.format!r}")
+            raise ValueError(f"config field 'format' must be 'csv' or 'json', got {self.format!r}")
         if self.workers < 1:
-            raise ValueError("worker count must be positive")
+            raise ValueError(f"config field 'workers' must be positive, got {self.workers}")
 
     @property
     def grid(self) -> GridSpec:
         return GridSpec(n=self.n, N=self.N, L=self.L)
 
     def to_json(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "n": self.n,
-            "N": self.N,
-            "L": self.L,
-            "seed": self.seed,
-            "out": self.out,
-            "format": self.format,
-            "workers": self.workers,
-            "force": self.force,
-            "options": self.options,
-        }
+        return asdict(self)
 
     def report_echo(self) -> dict:
         """Config echo embedded in reports: drops fields that do not affect
         the computed numbers (output path, worker count) so report bodies
         are byte-stable across runs, directories and parallelism."""
-        doc = self.to_json()
-        del doc["out"], doc["workers"]
-        return doc
+        return {k: v for k, v in self.to_json().items() if k not in ("out", "workers")}
 
     @classmethod
-    def from_json(cls, doc: dict) -> "ExperimentConfig":
-        known = {k: doc[k] for k in
-                 ("subcommand", "n", "N", "L", "seed", "out", "format",
-                  "workers", "force", "options") if k in doc}
-        return cls(**known)
+    def from_json(cls, doc, **overrides) -> "ExperimentConfig":
+        """The config a JSON object describes, `overrides` taking precedence;
+        any other document, or a key that names no field, is a ValueError."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"configuration must be a JSON object, got {type(doc).__name__}")
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(doc) - set(names))
+        if unknown:
+            raise ValueError(f"unknown config key {unknown[0]!r}; the fields are {names}")
+        return cls(**{**doc, **overrides})
 
 
 def item_seed(master: int, index: int) -> int:
@@ -162,6 +170,31 @@ def _default_corpus(config: ExperimentConfig) -> list[dict]:
         for j in range(per):
             items.append({"family": fam, "index": len(items), "rep": j})
     return items
+
+
+def _map(config: ExperimentConfig, fn, args: list) -> list:
+    """[fn(a) for a in args], over a pool of config.workers processes when
+    there is more than one; fn must be a top-level function.  Workers are
+    spawned: forking a process that runs threads, such as BLAS's, can
+    deadlock the child."""
+    if config.workers == 1:
+        return [fn(a) for a in args]
+    with ProcessPoolExecutor(config.workers, multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(fn, args))
+
+
+def _emit(config: ExperimentConfig, name: str, report: dict, rows: list | None = None):
+    """Write report `name` into config.out, which is created if missing: in
+    the configured format, or as JSON when it has no rows for a CSV table."""
+    outdir = Path(config.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    if config.format == "json" or rows is None:
+        write_report(outdir / f"{name}.json", "json", report, timestamp=stamp)
+    else:
+        fieldnames = sorted({k for r in rows for k in r})
+        csv_rows = [{k: r.get(k, "") for k in fieldnames} for r in rows]
+        write_report(outdir / f"{name}.csv", "csv", (fieldnames, csv_rows), timestamp=stamp)
 
 
 # ---------------------------------------------------------------- verify
@@ -263,11 +296,7 @@ def run_verify(config: ExperimentConfig) -> int:
         hat_max = hat_involution_error(_hat_sweep_bases(grid.n, config.seed, nhat))
 
     args = [(config.n, config.N, config.L, config.seed, item) for item in items]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(_verify_item, args))
-    else:
-        rows = [_verify_item(a) for a in args]
+    rows = _map(config, _verify_item, args)
     rows.sort(key=lambda r: r["id"])
 
     tols = _verify_tolerances(config.N)
@@ -289,9 +318,7 @@ def run_verify(config: ExperimentConfig) -> int:
         "failures": failures,
         "passed": not failures,
     }
-    outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _emit(config, outdir / "verify_report", report, rows)
+    _emit(config, "verify_report", report, rows)
     for line in failures:
         print(f"FAIL {line}")
     print(f"verify: {'PASS' if not failures else 'FAIL'} "
@@ -299,26 +326,13 @@ def run_verify(config: ExperimentConfig) -> int:
     return EXIT_OK if not failures else EXIT_VERIFY
 
 
-def _emit(config: ExperimentConfig, base: Path, report: dict, rows: list):
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    if config.format == "json":
-        write_report(base.with_suffix(".json"), "json", report, timestamp=stamp)
-    else:
-        fieldnames = sorted({k for r in rows for k in r})
-        csv_rows = [{k: r.get(k, "") for k in fieldnames} for r in rows]
-        write_report(base.with_suffix(".csv"), "csv", (fieldnames, csv_rows),
-                     timestamp=stamp)
-
-
 # ----------------------------------------------------------------- solve
 
 def _datum(config: ExperimentConfig, grid: GridSpec) -> np.ndarray:
     """The 'datum' option evaluated on the grid, mean kept."""
     src = config.options.get("datum")
-    if src is None:
-        raise ValueError("missing 'datum' in configuration")
     if not isinstance(src, str):
-        raise ValueError("'datum' must be a mini-language expression string")
+        raise ValueError(f"option 'datum' must be a mini-language expression string, got {src!r}")
     return np.asarray(evaluate_expr(src, grid))
 
 
@@ -327,30 +341,22 @@ def run_solve(config: ExperimentConfig) -> int:
     problem = config.options.get("problem", "neumann")
     cspec = config.options.get("coefficients", {"kind": "family", "family": "constant"})
     A = load_coefficient_spec(cspec, grid)
+    datum = _datum(config, grid)
+    f = remove_mean(grid, datum)
     if problem == "neumann":
-        f = remove_mean(grid, _datum(config, grid))
         handle = solve_neumann_l2(A, f, force=config.force)
     elif problem == "regularity":
-        f = remove_mean(grid, _datum(config, grid))
-        from .grid import fftn, ifftn
-
         g = ifftn(grid, 1j * grid.frequencies() * fftn(grid, f))
         handle = solve_regularity_l2(A, g, force=config.force)
     elif problem == "dirichlet":
-        u0 = _datum(config, grid)  # the mean is the Dirichlet gauge
-        handle = solve_dirichlet_l2(A, u0)
+        handle = solve_dirichlet_l2(A, datum)  # the mean is the Dirichlet gauge
     elif problem == "energy":
-        f = remove_mean(grid, _datum(config, grid))
         handle = solve_energy(A, f, config.options.get("energy_problem", "neumann"))
     else:
         raise ValueError(f"unknown problem {problem!r}")
 
     ts = _option(config, "t_grid", _levels, default_t_grid(grid, 60)[:40])
     strip = evaluate(handle, ts)
-    outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_strip_field(outdir / f"solve_{problem}", strip)
-
     summary = {
         "config": config.report_echo(),
         "problem": problem,
@@ -363,8 +369,8 @@ def run_solve(config: ExperimentConfig) -> int:
         mesh = StripMesh.graded(grid, _option(config, "oracle_M", int, 4 * grid.N))
         sol = energy_solve_neumann(A, -f, mesh)
         summary["oracle_delta"] = strip_gradient_error(handle, sol)
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    write_report(outdir / "solve_summary.json", "json", summary, timestamp=stamp)
+    _emit(config, "solve_summary", summary)
+    write_strip_field(Path(config.out) / f"solve_{problem}", strip)
     print(f"solve[{problem}]: done; trace norm "
           f"{float(np.linalg.norm(handle.trace)):.6g}"
           + (f"; oracle delta {summary['oracle_delta']:.3e}"
@@ -416,17 +422,9 @@ def run_rellich(config: ExperimentConfig) -> int:
     N_list = _option(config, "N_list", _ints, [config.N, 2 * config.N])
     args = [(config.n, config.L, config.seed, item, N)
             for item in items for N in N_list]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(_rellich_item, args))
-    else:
-        rows = [_rellich_item(a) for a in args]
-    rows.sort(key=lambda r: (r["id"], r["N"]))
-    outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    report = {"config": config.report_echo(), "rows": rows}
-    _emit(config, outdir / "rellich_report", report, rows)
-    print(f"rellich: {len(rows)} rows written to {outdir}")
+    rows = sorted(_map(config, _rellich_item, args), key=lambda r: (r["id"], r["N"]))
+    _emit(config, "rellich_report", {"config": config.report_echo(), "rows": rows}, rows)
+    print(f"rellich: {len(rows)} rows written to {Path(config.out)}")
     return EXIT_OK
 
 
@@ -452,10 +450,7 @@ def run_convergence(config: ExperimentConfig) -> int:
         rows[i]["order_band"] = float(
             np.log2(rows[i - 1]["rel_fro_band"] / rows[i]["rel_fro_band"])
         )
-    outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    report = {"config": config.report_echo(), "rows": rows}
-    _emit(config, outdir / "convergence_report", report, rows)
+    _emit(config, "convergence_report", {"config": config.report_echo(), "rows": rows}, rows)
     for r in rows:
         print(f"N={r['N']} M={r['M']}: band error {r['rel_fro_band']:.4f}"
               + (f" order {r['order_band']:.2f}" if "order_band" in r else ""))
@@ -464,44 +459,46 @@ def run_convergence(config: ExperimentConfig) -> int:
 
 # ----------------------------------------------------------------- norms
 
+def _norms_item(args: tuple) -> dict | None:
+    """One corpus member's norm ratios at one N, or None for a block class
+    outside the theory; top-level for process pools."""
+    n, L, master, item, N = args
+    grid = GridSpec(n=n, N=N, L=L)
+    seed = item_seed(master, item["index"])
+    A = make_family(grid, item["family"], seed=seed)
+    if A.block_class not in ("lower_triangular", "block_diagonal"):
+        return None
+    rng = np.random.default_rng(seed + 7)
+    x = grid.points()
+    f = np.zeros(grid.shape, dtype=complex)
+    for m in (1, 2, 3):
+        f += rng.standard_normal() * np.cos(m * 2 * np.pi * x[0] / grid.L)
+        f += rng.standard_normal() * np.sin(m * 2 * np.pi * x[0] / grid.L)
+    # both solves share the core kept on A: one factorization per row
+    handle = solve_neumann_l2(A, f)
+    ts = default_t_grid(grid, 120)
+    strip = evaluate(handle, ts[ts < 64 * grid.L])
+    nt = nontangential_norm(strip)
+    hd = solve_dirichlet_l2(A, f)
+    sq = square_function_norm(evaluate_full_gradient(hd, ts))
+    return {
+        "id": f"{item['family']}-{item['rep']}",
+        "N": N,
+        "ratio_H0_over_NT": float(np.linalg.norm(handle.trace) / nt),
+        "ratio_H0t_over_sqfn": float(np.linalg.norm(hd.trace) / max(sq, 1e-300)),
+    }
+
+
 def run_norms(config: ExperimentConfig) -> int:
     items = [it for it in _default_corpus(config)
              if it["family"] in ("constant", "lower_triangular_random",
                                  "block_diagonal_random", "smooth_trig")]
     N_list = _option(config, "N_list", _ints, [config.N, 2 * config.N])
-    rows = []
-    for item in items:
-        for N in N_list:
-            grid = GridSpec(n=config.n, N=N, L=config.L)
-            seed = item_seed(config.seed, item["index"])
-            A = make_family(grid, item["family"], seed=seed)
-            if A.block_class not in ("lower_triangular", "block_diagonal"):
-                continue
-            rng = np.random.default_rng(seed + 7)
-            x = grid.points()
-            f = np.zeros(grid.shape, dtype=complex)
-            for m in (1, 2, 3):
-                f += rng.standard_normal() * np.cos(m * 2 * np.pi * x[0] / grid.L)
-                f += rng.standard_normal() * np.sin(m * 2 * np.pi * x[0] / grid.L)
-            # both solves share the core kept on A: one factorization per row
-            handle = solve_neumann_l2(A, f)
-            ts = default_t_grid(grid, 120)
-            strip = evaluate(handle, ts[ts < 64 * grid.L])
-            nt = nontangential_norm(strip)
-            hd = solve_dirichlet_l2(A, f)
-            sq = square_function_norm(evaluate_full_gradient(hd, ts))
-            rows.append({
-                "id": f"{item['family']}-{item['rep']}",
-                "N": N,
-                "ratio_H0_over_NT": float(np.linalg.norm(handle.trace) / nt),
-                "ratio_H0t_over_sqfn": float(np.linalg.norm(hd.trace) / max(sq, 1e-300)),
-            })
-    rows.sort(key=lambda r: (r["id"], r["N"]))
-    outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    report = {"config": config.report_echo(), "rows": rows}
-    _emit(config, outdir / "norms_report", report, rows)
-    print(f"norms: {len(rows)} rows written to {outdir}")
+    args = [(config.n, config.L, config.seed, item, N) for item in items for N in N_list]
+    rows = sorted((r for r in _map(config, _norms_item, args) if r is not None),
+                  key=lambda r: (r["id"], r["N"]))
+    _emit(config, "norms_report", {"config": config.report_echo(), "rows": rows}, rows)
+    print(f"norms: {len(rows)} rows written to {Path(config.out)}")
     return EXIT_OK
 
 
@@ -517,34 +514,22 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("verify", "solve", "rellich", "convergence", "norms"):
         s = sub.add_parser(name)
         s.add_argument("--config", type=str, default=None)
-        s.add_argument("--grid", type=int, default=None, metavar="N")
+        # every other flag's dest is the config field it overrides
+        s.add_argument("--grid", type=int, default=None, metavar="N", dest="N")
         s.add_argument("--seed", type=int, default=None)
         s.add_argument("--out", type=str, default=None)
         s.add_argument("--format", type=str, choices=("csv", "json"), default=None)
         s.add_argument("--workers", type=int, default=None)
-        s.add_argument("--force", action="store_true")
+        s.add_argument("--force", action="store_true", default=None)
     return p
 
 
 def build_config(argv: list[str]) -> ExperimentConfig:
-    ns = _build_parser().parse_args(argv)
-    doc = {}
-    if ns.config:
-        doc = json.loads(Path(ns.config).read_text())
-    doc["subcommand"] = ns.subcommand
-    if ns.grid is not None:
-        doc["N"] = ns.grid
-    if ns.seed is not None:
-        doc["seed"] = ns.seed
-    if ns.out is not None:
-        doc["out"] = ns.out
-    if ns.format is not None:
-        doc["format"] = ns.format
-    if ns.workers is not None:
-        doc["workers"] = ns.workers
-    if ns.force:
-        doc["force"] = True
-    return ExperimentConfig.from_json(doc)
+    flags = vars(_build_parser().parse_args(argv))
+    path = flags.pop("config")
+    doc = json.loads(Path(path).read_text()) if path else {}
+    return ExperimentConfig.from_json(
+        doc, **{name: value for name, value in flags.items() if value is not None})
 
 
 _RUNNERS = {
@@ -560,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         config = build_config(argv)
-    except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a JSON syntax error is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SystemExit as exc:  # argparse

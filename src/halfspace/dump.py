@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,19 @@ def write_report(
     Path(path).write_text(head + body)
 
 
+def _family_keyword(key: str, value):
+    """A make_family keyword from a family spec: seed and blocks are
+    integers, the others finite numbers; anything else is a ValueError."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if key in ("seed", "blocks"):
+        ok, what = number and isinstance(value, int), "an integer"
+    else:
+        ok, what = number and -math.inf < value < math.inf, "a finite number"
+    if not ok:
+        raise ValueError(f"coefficient spec key {key!r} must be {what}, got {value!r}")
+    return value
+
+
 def load_coefficient_spec(spec: dict, grid: GridSpec):
     """Build a CoefficientField from a JSON coefficient description.
 
@@ -148,7 +162,7 @@ def load_coefficient_spec(spec: dict, grid: GridSpec):
     kind = spec.get("kind")
     if kind == "family":
         kwargs = {
-            k: spec[k]
+            k: _family_keyword(k, spec[k])
             for k in ("seed", "lamb_floor", "Lamb_cap", "amplitude", "blocks", "imag_scale")
             if k in spec
         }
@@ -168,7 +182,11 @@ def load_coefficient_spec(spec: dict, grid: GridSpec):
                 samples[..., p, q] = evaluate_expr(entries[p][q], grid)
         return CoefficientField(grid, samples)
     if kind == "dump":
-        _, dgrid, values = read_field(spec["path"])
+        path = spec.get("path")
+        if not (isinstance(path, str)
+                and all(Path(path).with_suffix(x).is_file() for x in (".json", ".bin"))):
+            raise ValueError(f"coefficient spec key 'path' must name a field dump, got {path!r}")
+        _, dgrid, values = read_field(path)
         if dgrid != grid:
             raise ValueError("coefficient dump grid does not match the run grid")
         return CoefficientField(grid, values)

@@ -14,7 +14,7 @@ dense matrix of dimension 2*(N^n - 1).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -175,12 +175,9 @@ class BoundaryField:
 
     grid: GridSpec
     values: np.ndarray
-    representation: str = "physical"
     h0_flag: bool = False
 
     def __post_init__(self):
-        if self.representation not in ("physical", "frequency"):
-            raise ValueError(f"unknown representation {self.representation!r}")
         expected = (1 + self.grid.n,) + self.grid.shape
         if self.values.shape != expected:
             raise ValueError(
@@ -192,28 +189,12 @@ class BoundaryField:
         )
         self.values.setflags(write=False)
         if self.h0_flag:
-            fh = self.values
-            if self.representation == "physical":
-                fh = fftn(self.grid, fh)
-            defect = _h0_defect(self.grid, fh[None])
+            defect = _h0_defect(self.grid, fftn(self.grid, self.values)[None])
             if defect:
                 raise ValueError(defect)
 
-    def to_physical(self) -> "BoundaryField":
-        if self.representation == "physical":
-            return self
-        vals = ifftn(self.grid, self.values)
-        return replace(self, values=vals, representation="physical")
-
-    def to_frequency(self) -> "BoundaryField":
-        if self.representation == "frequency":
-            return self
-        vals = fftn(self.grid, self.values)
-        return replace(self, values=vals, representation="frequency")
-
     def norm(self) -> float:
-        f = self.to_physical()
-        return l2_norm(self.grid, f.values)
+        return l2_norm(self.grid, self.values)
 
     @property
     def perp(self) -> np.ndarray:
@@ -278,7 +259,7 @@ def pi_project(field: BoundaryField) -> BoundaryField:
     part onto gradients per mode via xi xi^T / |xi|^2.
     """
     g = field.grid
-    fh = field.to_frequency().values.copy()
+    fh = fftn(g, field.values)
     zero = (0,) * g.n
     for c in range(1 + g.n):
         fh[c][zero] = 0.0
@@ -290,11 +271,7 @@ def pi_project(field: BoundaryField) -> BoundaryField:
         dot = xi[0] * fh[1] + xi[1] * fh[2]
         fh[1] = xi[0] * dot * inv
         fh[2] = xi[1] * dot * inv
-    out = BoundaryField(g, fh, representation="frequency", h0_flag=True)
-    if field.representation == "physical":
-        out = out.to_physical()
-        out = replace(out, h0_flag=True)
-    return out
+    return BoundaryField(g, ifftn(g, fh), h0_flag=True)
 
 
 def v_apply(grid: GridSpec, pair: np.ndarray) -> BoundaryField:
@@ -315,13 +292,13 @@ def v_apply(grid: GridSpec, pair: np.ndarray) -> BoundaryField:
     vals = np.empty((1 + grid.n,) + grid.shape, dtype=complex)
     vals[0] = p[0]
     vals[1:] = -riesz_apply(grid, p[1])
-    return BoundaryField(grid, vals, representation="physical", h0_flag=True)
+    return BoundaryField(grid, vals, h0_flag=True)
 
 
 def v_adjoint(field: BoundaryField) -> np.ndarray:
     """Inverse of V on H0: returns the pair (F_perp, -R* F_par)."""
     g = field.grid
-    f = field.to_physical().values
+    f = field.values
     p1 = remove_mean(g, f[0])
     p2 = -riesz_adjoint(g, np.ascontiguousarray(f[1:]))
     return np.stack([p1, p2])
@@ -410,4 +387,4 @@ def vcoords_to_field(grid: GridSpec, p: np.ndarray) -> BoundaryField:
     if p.shape != (2 * K,):
         raise ValueError(f"expected V-coordinate vector of length {2 * K}")
     values = vcoords_to_fields(grid, p[:, None])[0]
-    return BoundaryField(grid, values, representation="physical", h0_flag=True)
+    return BoundaryField(grid, values, h0_flag=True)

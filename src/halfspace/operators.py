@@ -37,6 +37,7 @@ __all__ = [
     "matrix_sign",
     "spectral_projectors",
     "log_t_levels",
+    "log_t_quadrature",
     "plus_coefficients",
     "semigroup_apply",
     "spectral_columns",
@@ -448,6 +449,12 @@ def log_t_levels(op: OperatorMatrix, npoints: int, lo: float = 1e-4) -> np.ndarr
     cover the decay of every eigenmode of op."""
     mags = np.abs(decompose(op).eigenvalues)
     return np.geomspace(lo / float(np.max(mags)), 1e4 / float(np.min(mags)), npoints)
+
+
+def log_t_quadrature(ts: np.ndarray, power: float, vals: np.ndarray) -> float:
+    """(Integral of t^power vals(t) dt/t)^(1/2), trapezoid in log t over the
+    heights ts."""
+    return float(np.sqrt(np.trapezoid(ts**power * vals, np.log(ts))))
 
 
 def kato_check(

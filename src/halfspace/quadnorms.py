@@ -19,6 +19,7 @@ from .operators import (
     UnreliableDecompositionError,
     decompose,
     log_t_levels,
+    log_t_quadrature,
     spectral_columns,
     weight_vector,
 )
@@ -103,7 +104,7 @@ def quad_norm_adapted(
     cols = spectral_columns(
         op, ts, p, lambda t, lam: psi.eigenvalue_function(t)(lam), plus_subspace=False
     )
-    return _log_t_quadrature(ts, s, cols)
+    return log_t_quadrature(ts, -2 * s, np.sum(np.abs(cols) ** 2, axis=0))
 
 
 def semigroup_norm(
@@ -124,10 +125,4 @@ def semigroup_norm(
     cols = spectral_columns(
         uT, ts, p, lambda t, lam: np.exp(-t * np.abs(lam)), plus_subspace=False
     )
-    return _log_t_quadrature(ts, s, cols)
-
-
-def _log_t_quadrature(ts: np.ndarray, s: float, cols: np.ndarray) -> float:
-    """(int t^(-2s) ||col(t)||^2 dt/t)^(1/2), trapezoid in log t."""
-    vals = np.sum(np.abs(cols) ** 2, axis=0)
-    return float(np.sqrt(np.trapezoid(ts ** (-2 * s) * vals, np.log(ts))))
+    return log_t_quadrature(ts, -2 * s, np.sum(np.abs(cols) ** 2, axis=0))

@@ -34,6 +34,7 @@ from .operators import (
     _apply_S,
     decompose,
     log_t_levels,
+    log_t_quadrature,
     plus_coefficients,
     semigroup_apply,
     spectral_columns,
@@ -306,7 +307,7 @@ def _square_function(core: SpectralCore, p0: np.ndarray, npoints: int = 200) -> 
     K = uT.grid.nmodes
     P = spectral_columns(uT, ts, p0)
     vals = np.sum(np.abs(core.calB.matrix[:K] @ P) ** 2 + np.abs(P[K:]) ** 2, axis=0)
-    return float(np.sqrt(np.trapezoid(ts**2 * vals, np.log(ts))))
+    return log_t_quadrature(ts, 2, vals)
 
 
 def solve_energy(
@@ -357,8 +358,7 @@ def _strip_energy(uT: OperatorMatrix, H0: np.ndarray, npoints: int = 400) -> flo
     if not np.any(H0):
         return 0.0
     ts = log_t_levels(uT, npoints, lo=1e-5)
-    vals = np.sum(np.abs(spectral_columns(uT, ts, H0)) ** 2, axis=0)
-    return float(np.sqrt(np.trapezoid(ts * vals, np.log(ts))))
+    return log_t_quadrature(ts, 1, np.sum(np.abs(spectral_columns(uT, ts, H0)) ** 2, axis=0))
 
 
 def gradient_vcoords(handle: SolutionHandle, t: float) -> np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, l2_norm
+from .operators import log_t_quadrature
 from .solvers import StripField
 
 __all__ = [
@@ -129,12 +130,10 @@ def _slice_norms_sq(field: StripField) -> np.ndarray:
 def square_function_norm(field: StripField) -> float:
     """(Integral of t ||grad u(t)||^2 dt)^(1/2), trapezoid in log t."""
     ts = _check_span(field)
-    vals = _slice_norms_sq(field)[field.t_grid > 0]
-    return float(np.sqrt(np.trapezoid(ts**2 * vals, np.log(ts))))
+    return log_t_quadrature(ts, 2, _slice_norms_sq(field)[field.t_grid > 0])
 
 
 def energy_norm(field: StripField) -> float:
     """(Integral of ||grad u(t)||^2 dt)^(1/2), trapezoid in log t."""
     ts = _check_span(field)
-    vals = _slice_norms_sq(field)[field.t_grid > 0]
-    return float(np.sqrt(np.trapezoid(ts * vals, np.log(ts))))
+    return log_t_quadrature(ts, 1, _slice_norms_sq(field)[field.t_grid > 0])

@@ -28,6 +28,28 @@ def test_config_round_trip():
     assert ExperimentConfig.from_json(ExperimentConfig.from_json(doc).to_json()) == cfg
 
 
+@pytest.mark.parametrize("doc, name", [
+    ([1, 2], "JSON object"),
+    ({"workers": "2"}, "'workers'"),
+    ({"options": 5}, "'options'"),
+    ({"L": "x"}, "'L'"),
+    ({"L": 0}, "'L'"),
+    ({"seed": 1.5}, "'seed'"),
+    ({"n": 1.0}, "'n'"),
+    ({"force": "no"}, "'force'"),
+    ({"N": "x"}, "'N'"),
+    ({"N": True}, "'N'"),
+    ({"grid": 64}, "'grid'"),
+])
+def test_malformed_config_document_exit_code(tmp_path, capsys, doc, name):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert run(["rellich", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*_report.*"))
+
+
 def test_cli_overrides_config_file(tmp_path):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"N": 64, "seed": 1}))
@@ -94,6 +116,15 @@ def test_rellich_report_sorted(tmp_path):
     lines = (out / "rellich_report.csv").read_text().splitlines()
     ids = [tuple(l.split(",")[5:6] + l.split(",")[0:1]) for l in lines[2:]]
     assert ids == sorted(ids)
+
+
+def test_norms_worker_count_does_not_change_report(tmp_path):
+    base = ["norms", "--grid", "16", "--seed", "3", "--format", "json"]
+    assert run(base + ["--out", str(tmp_path / "w1"), "--workers", "1"]) == 0
+    assert run(base + ["--out", str(tmp_path / "w2"), "--workers", "2"]) == 0
+    a = (tmp_path / "w1" / "norms_report.json").read_text().split("\n", 1)[1]
+    b = (tmp_path / "w2" / "norms_report.json").read_text().split("\n", 1)[1]
+    assert a == b
 
 
 def test_norms_report(tmp_path):
@@ -163,6 +194,14 @@ def test_dirichlet_datum_must_be_an_expression(tmp_path, capsys, datum):
     (5, "coefficient spec"),
     ({"kind": "expressions", "entries": 5}, "expression table"),
     ({"kind": "expressions", "entries": [["1", 0], ["0", "1"]]}, "expression table"),
+    ({"kind": "family", "family": "piecewise_random", "seed": "x"}, "'seed'"),
+    ({"kind": "family", "family": "piecewise_random", "amplitude": "x"}, "'amplitude'"),
+    ({"kind": "family", "family": "piecewise_random", "lamb_floor": "x"}, "'lamb_floor'"),
+    ({"kind": "family", "family": "piecewise_random", "blocks": "x"}, "'blocks'"),
+    ({"kind": "family", "family": "piecewise_random", "blocks": True}, "'blocks'"),
+    ({"kind": "family", "family": "piecewise_random", "amplitude": float("nan")}, "'amplitude'"),
+    ({"kind": "dump", "path": 5}, "'path'"),
+    ({"kind": "dump", "path": "no_such_dump"}, "'path'"),
 ])
 def test_malformed_coefficient_spec_exit_code(tmp_path, capsys, coefficients, message):
     options = {"problem": "neumann", "datum": "cos(x1)", "coefficients": coefficients}
