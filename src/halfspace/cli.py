@@ -143,8 +143,19 @@ def _option(config: ExperimentConfig, name: str, convert, default):
         raise ValueError(f"option {name!r}: cannot read {value!r} ({exc})") from None
 
 
+def _int(value) -> int:
+    """A JSON integer as it is: 16.7 is not read as 16, nor true as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def _ints(values) -> list[int]:
-    return [int(v) for v in values]
+    return [_int(v) for v in values]
+
+
+def _ladder(values) -> list[tuple[int, int]]:
+    return [(N, M) for N, M in map(_ints, values)]
 
 
 def _levels(values) -> np.ndarray:
@@ -160,7 +171,7 @@ def _default_corpus(config: ExperimentConfig) -> list[dict]:
         ["constant", "smooth_trig", "lower_triangular_random",
          "upper_triangular_random", "block_diagonal_random", "piecewise_random"],
     )
-    per = _option(config, "per_family", int, 2)
+    per = _option(config, "per_family", _int, 2)
     if per < 1:
         raise ValueError(f"option 'per_family' must be at least 1, got {per}")
     items = []
@@ -274,21 +285,21 @@ def _hat_sweep_bases(n: int, master: int, count: int) -> np.ndarray:
     """The hat sweep's random strictly accretive (1+n) x (1+n) matrices,
     shape (count, 1+n, 1+n); matrix i is drawn from item seed 10000 + i."""
     d = 1 + n
-    bases = np.empty((count, d, d), dtype=complex)
+    P = np.empty((count, d, d), dtype=complex)
     for i in range(count):
         rng = np.random.default_rng(item_seed(master, 10_000 + i))
-        P = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
-        P *= 0.45 * 2.7 / max(np.linalg.norm(P, 2), 1e-300)
-        herm_min = float(np.min(np.linalg.eigvalsh(0.5 * (P + P.conj().T))))
-        bases[i] = np.eye(d) * (0.6 - min(herm_min, 0)) + P
-    return bases
+        P[i] = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
+    # the norms and Hermitian spectra of the whole stack, one call each
+    P *= (0.45 * 2.7 / np.maximum(np.linalg.norm(P, 2, axis=(1, 2)), 1e-300))[:, None, None]
+    herm_min = np.linalg.eigvalsh(0.5 * (P + P.conj().transpose(0, 2, 1)))[:, 0]
+    return np.eye(d) * (0.6 - np.minimum(herm_min, 0))[:, None, None] + P
 
 
 def run_verify(config: ExperimentConfig) -> int:
     items = _default_corpus(config)
     # hat-involution sweep over extra random coefficient matrices
     grid = config.grid
-    nhat = _option(config, "hat_samples", int, 200)
+    nhat = _option(config, "hat_samples", _int, 200)
     if nhat < 0:
         raise ValueError(f"option 'hat_samples' must be nonnegative, got {nhat}")
     hat_max = 0.0
@@ -366,7 +377,7 @@ def run_solve(config: ExperimentConfig) -> int:
     if config.options.get("compare_oracle") and problem in ("neumann", "energy"):
         from .oracle import StripMesh, energy_solve_neumann, strip_gradient_error
 
-        mesh = StripMesh.graded(grid, _option(config, "oracle_M", int, 4 * grid.N))
+        mesh = StripMesh.graded(grid, _option(config, "oracle_M", _int, 4 * grid.N))
         sol = energy_solve_neumann(A, -f, mesh)
         summary["oracle_delta"] = strip_gradient_error(handle, sol)
     _emit(config, "solve_summary", summary)
@@ -433,8 +444,7 @@ def run_rellich(config: ExperimentConfig) -> int:
 def run_convergence(config: ExperimentConfig) -> int:
     from .oracle import StripMesh, gamma_nd_comparison
 
-    ladder = _option(config, "ladder", lambda v: [(int(N), int(M)) for N, M in v],
-                     [[16, 64], [32, 128], [64, 256]])
+    ladder = _option(config, "ladder", _ladder, [[16, 64], [32, 128], [64, 256]])
     band = _option(config, "band", float, 8.0)
     amplitude = _option(config, "amplitude", float, 0.3)
     rows = []

@@ -227,6 +227,10 @@ def make_family(
     # random block families: A = shift*I + P with P rescaled into the
     # headroom between floor and cap
     if kind == "piecewise_random":
+        if (isinstance(blocks, bool) or not isinstance(blocks, (int, np.integer))
+                or not 1 <= blocks <= grid.N):
+            raise ValueError(f"family key 'blocks' must be an integer from 1 to "
+                             f"N = {grid.N}, got {blocks!r}")
         cells = np.array_split(np.arange(grid.N), blocks)
         P = np.zeros(grid.shape + (d, d), dtype=complex)
         if grid.n == 1:

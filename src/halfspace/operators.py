@@ -6,9 +6,13 @@ first).  The functional calculus (sign, semigroups, quadratic-norm
 functions) is eigendecomposition-based.  Of the two first-order operators
 only uT = S calB is factored: T = calB S = S^-1 uT S shares its calculus
 through S, so exp(-t T) = S^-1 exp(-t uT) S.  The sign function has a
-second route, the determinant-scaled Newton iteration, which needs no
-eigenbasis: it serves the callers that need only sgn, checks the eigen
-route, and replaces it when an eigenbasis is ill-conditioned.
+second route, the scaled Newton iteration, which needs no eigenbasis: it
+serves the callers that need only sgn, checks the eigen route, and
+replaces it when an eigenbasis is ill-conditioned.  Its scaling starts
+from the spectral box [margin, hi] that the bisectoriality gate's margin
+and a matrix norm bound, then hands over to determinant scaling (see
+_newton_iteration); on the coefficient families it takes 6-7 steps at
+N = 128 where determinant scaling alone takes 8-9.
 """
 
 from __future__ import annotations
@@ -55,6 +59,10 @@ COND_LIMIT = 1e8
 # eigvalsh calls and the computed calB is a rounded compression, each off by
 # about eps ||B||; the factor 100 keeps the decision far from that rounding.
 CERTIFICATE_SAFETY = 100.0
+# The box phase of the Newton sign iteration ends once its box [1, c] has
+# c <= BOX_TAIL: what is left is rounding and the part of a complex
+# spectrum a real box does not see, and determinant scaling takes that over.
+BOX_TAIL = 1.01
 
 
 class BisectorialityError(NumericalError):
@@ -282,15 +290,15 @@ def check_bisectorial(op: OperatorMatrix, floor: float = MARGIN_FLOOR) -> Spectr
 def _sign_eigen(op: OperatorMatrix) -> np.ndarray:
     dec = check_bisectorial(op)
     if not dec.reliable or dec.cond > COND_LIMIT:
-        return _sign_fallback(op.matrix)
+        return _sign_fallback(op.matrix, dec.margin)
     return dec.function_matrix(lambda lam: np.sign(lam.real).astype(complex))
 
 
-def _sign_fallback(m: np.ndarray) -> np.ndarray:
+def _sign_fallback(m: np.ndarray, margin: float) -> np.ndarray:
     """The eigen route's sign when its eigenbasis is unreliable or
     ill-conditioned: the Newton iteration, which uses no eigenbasis (the
-    caller has applied the gate)."""
-    return _newton_iteration(m)
+    caller has applied the gate, whose margin starts the scaling)."""
+    return _newton_iteration(m, margin)
 
 
 # bench/tracer.py wraps the fallback, and counts its calls, by this name
@@ -302,23 +310,39 @@ def _sign_newton(
 ) -> np.ndarray:
     """Newton route: the gate of the eigen route, from op's certified margin
     when that clears it by CERTIFICATE_SAFETY and from eigvals otherwise,
-    then the iteration."""
-    if op.margin_bound <= CERTIFICATE_SAFETY * MARGIN_FLOOR:
-        _require_margin(float(np.min(np.abs(np.linalg.eigvals(op.matrix).real))))
-    return _newton_iteration(op.matrix, tol, maxiter)
+    then the iteration, scaled from whichever margin passed the gate."""
+    margin = op.margin_bound
+    if margin <= CERTIFICATE_SAFETY * MARGIN_FLOOR:
+        margin = float(np.min(np.abs(np.linalg.eigvals(op.matrix).real)))
+        _require_margin(margin)
+    return _newton_iteration(op.matrix, margin, tol, maxiter)
 
 
 def _newton_iteration(
-    m: np.ndarray, tol: float = 1e-12, maxiter: int = 100
+    m: np.ndarray, margin: float, tol: float = 1e-12, maxiter: int = 100
 ) -> np.ndarray:
-    """Determinant-scaled Newton iteration X <- (mu X + (mu X)^-1)/2,
-    mu = |det X|^(-1/dim), for a matrix with no eigenvalue on the imaginary
-    axis (Higham, Functions of Matrices, SIAM 2008, ch. 5).
+    """Scaled Newton iteration X <- (mu X + (mu X)^-1)/2 for a matrix with
+    no eigenvalue on the imaginary axis (Higham, Functions of Matrices,
+    SIAM 2008, ch. 5); margin is a lower bound on min |Re lambda| > 0.
 
-    Each step factors X once: mu comes from the diagonal of the LU factors
-    and X^-1 from the same factors.  With Y = mu X the next iterate obeys
-    X_next - sgn = Y^-1 (Y - sgn)^2 / 2, and ||Y - sgn|| is about
-    ||X_next - Y|| near convergence, so the iteration stops once
+    The scaling runs in two phases.  Box phase: every eigenvalue has
+    margin <= |Re lambda| and |lambda| <= hi = min(||m||_1, ||m||_inf), and
+    for a real spectrum in +-[margin, hi] the optimal scalings are known in
+    advance (Kenney & Laub, SIAM J. Matrix Anal. Appl. 13, 1992; Byers &
+    Xu, SIAM J. Matrix Anal. Appl. 30, 2008): the first step takes
+    mu = (margin hi)^(-1/2), which leaves |lambda| in [1, c] with
+    c = (r + 1/r)/2, r = (hi/margin)^(1/2); each later step takes
+    mu = c^(-1/2) and maps the box to [1, (c^(1/2) + c^(-1/2))/2].  Tail:
+    once c <= BOX_TAIL the determinant scaling mu = |det X|^(-1/dim) takes
+    over, which costs nothing extra and also suits a complex spectrum.  Any
+    mu > 0 keeps each eigenvalue in its half-plane, so the box only sets
+    the pace.  The six coefficient families at n = 1, N = 128 take 6-7
+    steps, against 8-9 under determinant scaling from the start.
+
+    Each step factors X once: the determinant comes from the diagonal of
+    the LU factors and X^-1 from the same factors.  With Y = mu X the next
+    iterate obeys X_next - sgn = Y^-1 (Y - sgn)^2 / 2, and ||Y - sgn|| is
+    about ||X_next - Y|| near convergence, so the iteration stops once
     ||Y^-1|| ||X_next - Y||^2 / 2 <= tol ||X_next||, which saves the last
     step a test on ||X_next - X|| alone would take.  Raises
     NewtonConvergenceError when that has not happened after maxiter steps,
@@ -328,6 +352,10 @@ def _newton_iteration(
         ("getrf", "getri", "getri_lwork"), (m,)
     )
     X = np.array(m, dtype=complex)
+    hi = min(np.linalg.norm(X, 1), np.linalg.norm(X, np.inf))
+    box = 1.0 / np.sqrt(margin * hi)  # mu of the first step; 0 in the tail
+    r = np.sqrt(max(hi / margin, 1.0))
+    c = 0.5 * (r + 1.0 / r)  # the box [1, c] after the first step
     # besides X a step uses one array, in place: it holds the LU factors of
     # X^T (a Fortran-order copy of C-order X needs no transpose), then
     # (mu X)^-1, then the update X_next - mu X
@@ -338,7 +366,7 @@ def _newton_iteration(
         lu, piv, info = getrf(work, overwrite_a=True)
         if info > 0:
             raise NewtonConvergenceError(f"Newton sign iterate {step} is singular")
-        mu = np.exp(-np.mean(np.log(np.abs(np.diag(lu)))))
+        mu = box or np.exp(-np.mean(np.log(np.abs(np.diag(lu)))))
         inv = getri(lu, piv, lwork=lwork, overwrite_lu=True)[0].T
         inv /= mu
         X *= mu
@@ -349,6 +377,8 @@ def _newton_iteration(
         err = 0.5 * inv_norm * np.linalg.norm(inv) ** 2 / max(np.linalg.norm(X), 1e-300)
         if err <= tol:
             return X
+        box = c**-0.5 if c > BOX_TAIL else 0.0
+        c = 0.5 * (c**0.5 + c**-0.5)
     raise NewtonConvergenceError(
         f"Newton sign iteration did not converge in {maxiter} steps "
         f"(estimated relative error {err:.3e} > {tol:.1e})"

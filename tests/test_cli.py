@@ -159,6 +159,13 @@ def test_bad_config_exit_code(tmp_path):
     ("convergence", {"band": [1]}, "band"),
     ("rellich", {"per_family": [1]}, "per_family"),
     ("rellich", {"N_list": [[8]]}, "N_list"),
+    ("rellich", {"N_list": [16.7]}, "N_list"),
+    ("rellich", {"N_list": [True]}, "N_list"),
+    ("norms", {"N_list": [8.0]}, "N_list"),
+    ("convergence", {"ladder": [[16.7, 64.9]]}, "ladder"),
+    ("convergence", {"ladder": [[16, 64, 128]]}, "ladder"),
+    ("verify", {"per_family": 1.5}, "per_family"),
+    ("verify", {"hat_samples": "10"}, "hat_samples"),
 ])
 def test_bad_counts_exit_code(tmp_path, capsys, sub, options, name):
     cfg = tmp_path / "c.json"
@@ -202,6 +209,8 @@ def test_dirichlet_datum_must_be_an_expression(tmp_path, capsys, datum):
     ({"kind": "family", "family": "piecewise_random", "amplitude": float("nan")}, "'amplitude'"),
     ({"kind": "dump", "path": 5}, "'path'"),
     ({"kind": "dump", "path": "no_such_dump"}, "'path'"),
+    ({"kind": "family", "family": "piecewise_random", "blocks": 32}, "'blocks'"),
+    ({"kind": "family", "family": "piecewise_random", "blocks": 0}, "'blocks'"),
 ])
 def test_malformed_coefficient_spec_exit_code(tmp_path, capsys, coefficients, message):
     options = {"problem": "neumann", "datum": "cos(x1)", "coefficients": coefficients}
@@ -327,11 +336,26 @@ def _per_field_hat_sweep(grid, bases):
     return worst
 
 
+def _per_matrix_hat_bases(n, master, count):
+    # the sweep's matrices drawn, scaled and shifted one at a time
+    d = 1 + n
+    bases = np.empty((count, d, d), dtype=complex)
+    for i in range(count):
+        rng = np.random.default_rng(item_seed(master, 10_000 + i))
+        P = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
+        P *= 0.45 * 2.7 / max(np.linalg.norm(P, 2), 1e-300)
+        herm_min = float(np.min(np.linalg.eigvalsh(0.5 * (P + P.conj().T))))
+        bases[i] = np.eye(d) * (0.6 - min(herm_min, 0)) + P
+    return bases
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_hat_sweep_matches_per_field_route(n, seed):
     bases = cli._hat_sweep_bases(n, seed, 200)
     assert bases.shape == (200, 1 + n, 1 + n)
+    # the stacked norms and spectra change no bit of the matrices
+    assert np.array_equal(bases, _per_matrix_hat_bases(n, seed, 200))
     reference = _per_field_hat_sweep(GridSpec(n=n, N=8), bases)
     assert hat_involution_error(bases) == reference
 

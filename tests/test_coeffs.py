@@ -56,6 +56,14 @@ def test_families_are_deterministic(grid):
     assert not np.array_equal(A1.samples, A3.samples)
 
 
+@pytest.mark.parametrize("blocks", [0, 17, 2.0, True])
+def test_piecewise_blocks_from_one_to_N(grid, blocks):
+    with pytest.raises(ValueError, match="'blocks'"):
+        make_family(grid, "piecewise_random", seed=9, blocks=blocks)
+    A = make_family(grid, "piecewise_random", seed=9, blocks=grid.N)
+    assert len(np.unique(A.samples[:, 0, 0])) == grid.N
+
+
 def test_hat_involution_smooth(grid):
     A = make_family(grid, "smooth_trig", seed=3)
     B = hat_transform(A)

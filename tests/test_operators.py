@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from halfspace.boundary import build_core
 from halfspace import operators
@@ -208,13 +209,80 @@ def test_newton_non_convergence_is_typed(grid):
     assert issubclass(NewtonConvergenceError, NumericalError)  # exit code 3
 
 
+def _determinant_scaled_steps(m, tol=1e-12, maxiter=100):
+    """Steps of the iteration the box scaling replaced: mu = |det X|^(-1/dim)
+    at every step, under the same stopping rule."""
+    X = m.copy()
+    for step in range(1, maxiter + 1):
+        mu = np.exp(-np.linalg.slogdet(X)[1] / X.shape[0])
+        Y = mu * X
+        inv = np.linalg.inv(Y)
+        X = 0.5 * (Y + inv)
+        if 0.5 * np.linalg.norm(inv) * np.linalg.norm(X - Y) ** 2 <= tol * np.linalg.norm(X):
+            return step
+    raise AssertionError("determinant-scaled reference did not converge")
+
+
+def _count_newton_steps(monkeypatch):
+    """A list that records one entry per Newton step: each step factors its
+    iterate with one getrf."""
+    steps = []
+    get = scipy.linalg.get_lapack_funcs
+
+    def counting(names, arrays=(), *args, **kwargs):
+        funcs = get(names, arrays, *args, **kwargs)
+        return [(lambda *a, f=f, **k: steps.append(1) or f(*a, **k)) if name == "getrf" else f
+                for name, f in zip(names, funcs)]
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
+    return steps
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@pytest.mark.parametrize("n, N", [(1, 32), (1, 64), (1, 128), (2, 8), (2, 16)])
+def test_box_scaled_newton_on_the_families(monkeypatch, kind, n, N):
+    # the box [margin_bound, hi] brackets the spectrum; scaled from it the
+    # iteration takes no more steps than determinant scaling, and gives the
+    # eigen route's sign
+    grid = GridSpec(n=n, N=N, L=2 * np.pi)
+    _, (S, calB, T, uT) = ops_for(grid, kind, seed=5)
+    m = uT.matrix
+    lam = decompose(uT).eigenvalues
+    hi = min(np.linalg.norm(m, 1), np.linalg.norm(m, np.inf))
+    assert 0 < uT.margin_bound <= (1 + 1e-10) * np.min(np.abs(lam.real))
+    assert hi >= np.max(np.abs(lam))
+    steps = _count_newton_steps(monkeypatch)
+    sg = matrix_sign(uT, method="newton").matrix
+    assert len(steps) <= _determinant_scaled_steps(m)
+    if N == 128:
+        assert len(steps) <= 7
+    sg_e = matrix_sign(uT, method="eigen").matrix
+    assert np.linalg.norm(sg - sg_e) <= 1e-10 * np.linalg.norm(sg_e)
+    assert np.linalg.norm(sg @ sg - np.eye(uT.dim)) <= 1e-10 * np.linalg.norm(sg)
+
+
+def test_newton_converges_near_the_imaginary_axis(grid):
+    # eigenvalues within 0.03 rad of the imaginary axis, in both half-planes,
+    # behind a non-normal similarity: the box is wide and only the tail's
+    # determinant scaling sees the complex spectrum
+    rng = np.random.default_rng(11)
+    dim = 2 * grid.nmodes
+    angle = np.pi / 2 - rng.uniform(0.005, 0.03, dim)
+    lam = np.geomspace(1.0, 50.0, dim) * np.exp(1j * angle) * rng.choice([-1, 1], dim)
+    W = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim))
+    op = OperatorMatrix(grid, W @ np.diag(lam) @ np.linalg.inv(W))
+    sg = matrix_sign(op, method="newton").matrix
+    assert np.linalg.norm(sg @ sg - np.eye(dim)) <= 1e-8
+    assert abs(np.trace(sg) - (np.sum(lam.real > 0) - np.sum(lam.real < 0))) <= 1e-8
+
+
 def test_ill_conditioned_eigenbasis_falls_back_to_newton(grid, monkeypatch):
     _, (S, calB, T, uT) = ops_for(grid, "smooth_trig", seed=2)
     dec = decompose(uT)
     fallbacks = []
     fallback = operators._sign_fallback
     monkeypatch.setattr(operators, "_sign_fallback",
-                        lambda m: fallbacks.append(m.shape) or fallback(m))
+                        lambda m, margin: fallbacks.append(m.shape) or fallback(m, margin))
     monkeypatch.setattr(operators, "COND_LIMIT", 0.5 * dec.cond)
     sg = matrix_sign(uT).matrix
     assert fallbacks == [uT.matrix.shape]
