@@ -5,7 +5,8 @@ All operators on H0 are represented as dense complex matrices of dimension
 first).  The functional calculus (sign, semigroups, quadratic-norm
 functions) is eigendecomposition-based.  Of the two first-order operators
 only uT = S calB is factored: T = calB S = S^-1 uT S shares its calculus
-through S, so exp(-t T) = S^-1 exp(-t uT) S.  The sign function has a
+through S, so exp(-t T) = S^-1 exp(-t uT) S, and decompose(T) is built
+from uT's eigenpairs with no factorization of its own.  The sign function has a
 second route, the scaled Newton iteration, which needs no eigenbasis: it
 serves the callers that need only sgn, checks the eigen route, and
 replaces it when an eigenbasis is ill-conditioned.  Its scaling starts
@@ -17,7 +18,7 @@ N = 128 where determinant scaling alone takes 8-9.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -118,12 +119,19 @@ class OperatorMatrix:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
+    """op = vectors diag(eigenvalues) vectors_inv, with the conditioning of
+    the basis and a reconstruction check (reliable).  tables holds arrays
+    that callers derive from the spectrum alone and build once per
+    decomposition (the quadratic norms keep their f(t_j, lambda_i) tables
+    there); operators with one spectrum may share it."""
+
     eigenvalues: np.ndarray
     vectors: np.ndarray
     vectors_inv: np.ndarray
     cond: float
     margin: float
     reliable: bool
+    tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def function_matrix(self, f) -> np.ndarray:
         return (self.vectors * f(self.eigenvalues)) @ self.vectors_inv
@@ -132,22 +140,55 @@ class SpectralDecomposition:
 def decompose(op: OperatorMatrix) -> SpectralDecomposition:
     """Eigendecomposition of op, computed on first use and kept on the
     instance: it is freed with the operator, and another operator is
-    factored afresh even when its entries are equal."""
+    factored afresh even when its entries are equal.
+
+    The T of assemble_operators is not factored: T = S^-1 uT S, so its
+    eigenvalues are uT's, its eigenvectors are S^-1 W scaled to unit columns
+    (_T_eigenvectors) and their inverse is W^-1 S with the matching row
+    scaling, all from decompose(uT).  It keeps its own cond and
+    reconstruction check, so reliable gates T as it gates uT, and it shares
+    uT's tables.
+    """
     dec = op.__dict__.get("_decomposition")
     if dec is not None:
         return dec
-    lam, W = np.linalg.eig(op.matrix)
-    Winv = np.linalg.inv(W)
-    cond = float(np.linalg.cond(W))
-    margin = float(np.min(np.abs(lam.real)))
-    recon = (W * lam) @ Winv
-    scale = np.linalg.norm(op.matrix)
-    err = np.linalg.norm(recon - op.matrix)
-    reliable = bool(err <= 1e-8 * max(scale, 1e-300) and np.isfinite(cond))
-    dec = SpectralDecomposition(lam, W, Winv, cond, margin, reliable)
+    uT = op.__dict__.get("_uT")
+    if uT is None:
+        lam, W = np.linalg.eig(op.matrix)
+        dec = _checked(op.matrix, lam, W, np.linalg.inv(W), {})
+    else:
+        base = decompose(uT)
+        Z, norms = _T_eigenvectors(op.grid, base.vectors)
+        Zinv = norms[:, None] * _apply_S(op.grid, base.vectors_inv.T).T
+        dec = _checked(op.matrix, base.eigenvalues, Z, Zinv, base.tables)
     # the dataclass is frozen; its __setattr__ guards the fields, not __dict__
     op.__dict__["_decomposition"] = dec
     return dec
+
+
+def _checked(m, lam, W, Winv, tables) -> SpectralDecomposition:
+    """The decomposition m = W diag(lam) W^-1 with its conditioning and
+    reconstruction check."""
+    cond = float(np.linalg.cond(W))
+    margin = float(np.min(np.abs(lam.real)))
+    recon = (W * lam) @ Winv
+    scale = np.linalg.norm(m)
+    err = np.linalg.norm(recon - m)
+    reliable = bool(err <= 1e-8 * max(scale, 1e-300) and np.isfinite(cond))
+    return SpectralDecomposition(lam, W, Winv, cond, margin, reliable, tables)
+
+
+def _T_eigenvectors(grid: GridSpec, W: np.ndarray):
+    """(Z, norms): T's eigenvectors Z = S^-1 W D^-1 from uT's eigenvectors W,
+    D = diag(norms) the column norms of S^-1 W, so Z has unit columns, as
+    eig returns them.  Z^-1 = D W^-1 S.  Every column is scaled before any
+    is selected: the norms of a selection alone differ in the last bit."""
+    K = grid.nmodes
+    w = grid.mode_magnitudes()[:, None]
+    Z = np.concatenate([W[K:] / w, W[:K] / w])
+    norms = np.linalg.norm(Z, axis=0)
+    Z /= norms
+    return Z, norms
 
 
 def mode_weights(grid: GridSpec, s: float) -> np.ndarray:
@@ -270,6 +311,9 @@ def assemble_operators(B: CoefficientField):
     # T = calB S is the transpose of S calB^T
     T = OperatorMatrix(grid, _apply_S(grid, calB.matrix.T).T, bound)
     uT = OperatorMatrix(grid, _apply_S(grid, calB.matrix), bound)
+    # T = S^-1 uT S: decompose(T) reads uT's decomposition (the dataclass is
+    # frozen; its __setattr__ guards the fields, not __dict__)
+    T.__dict__["_uT"] = uT
     return S, calB, T, uT
 
 
@@ -414,30 +458,22 @@ def _decay(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def spectral_columns(
-    op: OperatorMatrix,
-    ts,
-    x: np.ndarray,
-    f=_decay,
-    plus_subspace: bool = True,
-    reject_tol: float = 1e-6,
+    op: OperatorMatrix, ts, x: np.ndarray, f=_decay, reject_tol: float = 1e-6
 ) -> np.ndarray:
-    """Columns f(t_j, op) x for every height t_j in ts, shape (dim, len(ts)).
+    """Columns f(t_j, op) x for every height t_j in ts, shape (dim, len(ts)),
+    for x in the + spectral subspace of op (by default the semigroup
+    exp(-t_j op) x).
 
-    W^-1 x is formed once and the whole table F[i, j] = f(t_j, lambda_i)
-    is applied in one product V (F * W^-1 x).  With plus_subspace (the
-    semigroup case) the spectrum must pass the bisectoriality gate, x must
-    lie in the + spectral subspace (SubspaceError otherwise), the table is
-    evaluated on eigenvalues with positive real part only and a t = 0
-    column is an exact copy of x.  Without it, f acts on the whole
-    spectrum (quadratic norms) and x is unrestricted.
+    The spectrum must pass the bisectoriality gate and x must lie in the +
+    spectral subspace (SubspaceError otherwise).  W^-1 x is formed once and
+    the table F[i, j] = f(t_j, lambda_i), on the eigenvalues with positive
+    real part only, is applied in one product W+ (F * (W^-1 x)+).  A t = 0
+    column is an exact copy of x.  The quadratic norms, whose functions act
+    on the whole spectrum, apply their own tables (quadnorms).
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if np.any(ts < 0):
         raise ValueError("semigroup time must be nonnegative")
-    if not plus_subspace:
-        dec = decompose(op)
-        F = f(ts[None, :], dec.eigenvalues[:, None])
-        return dec.vectors @ (F * (dec.vectors_inv @ x)[:, None])
     dec, pos, coeff = plus_coefficients(op, x, reject_tol)
     F = f(ts[None, :], dec.eigenvalues[pos, None])
     out = dec.vectors[:, pos] @ (F * coeff[pos, None])

@@ -3,7 +3,13 @@
 The norm ||F||_{S,s} = (int_0^inf t^(-2s) ||psi_t(S) F||^2 dt/t)^(1/2) with
 psi(z) = z^k exp(-z sgn z) has the closed form c_{psi,s} |||S|^s F||, with
 c_{psi,s} = sqrt(Gamma(2k - 2s) / 2^(2k - 2s)).  Operator-adapted variants
-are evaluated by log-spaced quadrature through the eigendecomposition.
+are evaluated by log-spaced quadrature through the eigendecomposition, which
+the operator keeps (operators.decompose), so T = S^-1 uT S is not factored on
+its own.  The table F[i, j] = f(t_j, lambda_i) of each psi, or of the
+semigroup, and its levels t_j are built once per (function, npoints) and kept
+with the decomposition, freed with the operator; T shares uT's, since the
+spectrum and the levels are the same.  Each norm is then one W^-1 p, one
+product and the trapezoid.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from .operators import (
     decompose,
     log_t_levels,
     log_t_quadrature,
-    spectral_columns,
     weight_vector,
 )
 
@@ -87,6 +92,31 @@ def quad_norm_S(
     return c_psi(psi, s) * float(np.linalg.norm(w * p))
 
 
+def _table_columns(op: OperatorMatrix, p: np.ndarray, key, f, npoints: int):
+    """(ts, columns f(t_j, op) p) over the log-t levels ts of op.
+
+    Refuses an unreliable eigenbasis.  The table F[i, j] = f(t_j, lambda_i)
+    and its levels are built on the first call for (key, npoints) and kept
+    in the decomposition's tables (T's are uT's).
+    """
+    dec = decompose(op)
+    if not dec.reliable:
+        raise UnreliableDecompositionError(
+            "unreliable eigendecomposition; refusing the quadratic norm"
+        )
+    table = dec.tables.get((key, npoints))
+    if table is None:
+        ts = log_t_levels(op, npoints)
+        table = dec.tables[key, npoints] = (ts, f(ts[None, :], dec.eigenvalues[:, None]))
+    ts, F = table
+    return ts, dec.vectors @ (F * (dec.vectors_inv @ p)[:, None])
+
+
+def _table_norm(op: OperatorMatrix, p: np.ndarray, s: float, key, f, npoints: int) -> float:
+    ts, cols = _table_columns(op, p, key, f, npoints)
+    return log_t_quadrature(ts, -2 * s, np.sum(np.abs(cols) ** 2, axis=0))
+
+
 def quad_norm_adapted(
     op: OperatorMatrix,
     p: np.ndarray,
@@ -94,35 +124,29 @@ def quad_norm_adapted(
     psi: PsiSpec | None = None,
     npoints: int = 200,
 ) -> float:
-    """Adapted quadratic norm by trapezoid quadrature in log t."""
+    """Adapted quadratic norm by trapezoid quadrature in log t.  Raises
+    UnreliableDecompositionError when op's eigenbasis is unreliable."""
     _check_s(s)
     psi = psi or default_psi(s)
     psi.check_exponent(s)
     if not np.any(p):
         return 0.0
-    ts = log_t_levels(op, npoints)
-    cols = spectral_columns(
-        op, ts, p, lambda t, lam: psi.eigenvalue_function(t)(lam), plus_subspace=False
+    return _table_norm(
+        op, p, s, psi, lambda t, lam: psi.eigenvalue_function(t)(lam), npoints
     )
-    return log_t_quadrature(ts, -2 * s, np.sum(np.abs(cols) ** 2, axis=0))
 
 
 def semigroup_norm(
     uT: OperatorMatrix, p: np.ndarray, s: float, npoints: int = 200
 ) -> float:
-    """(int_0^inf t^(-2s) ||exp(-t |uT|) F||^2 dt/t)^(1/2) for -1 <= s < 0."""
+    """(int_0^inf t^(-2s) ||exp(-t |uT|) F||^2 dt/t)^(1/2) for -1 <= s < 0.
+    Raises UnreliableDecompositionError when uT's eigenbasis is unreliable."""
     if not -1.0 <= s < 0.0:
         raise ValueError("semigroup norm requires -1 <= s < 0")
     if not np.any(p):
         return 0.0
     # exp(-t |uT|) through uT's own eigenbasis: |uT| shares it, with
     # eigenvalues |lambda|
-    if not decompose(uT).reliable:
-        raise UnreliableDecompositionError(
-            "unreliable eigendecomposition; refusing the semigroup norm"
-        )
-    ts = log_t_levels(uT, npoints)
-    cols = spectral_columns(
-        uT, ts, p, lambda t, lam: np.exp(-t * np.abs(lam)), plus_subspace=False
+    return _table_norm(
+        uT, p, s, "semigroup", lambda t, lam: np.exp(-t * np.abs(lam)), npoints
     )
-    return log_t_quadrature(ts, -2 * s, np.sum(np.abs(cols) ** 2, axis=0))

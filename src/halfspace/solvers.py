@@ -32,6 +32,7 @@ from .grid import (
 from .operators import (
     OperatorMatrix,
     _apply_S,
+    _T_eigenvectors,
     decompose,
     log_t_levels,
     log_t_quadrature,
@@ -258,14 +259,8 @@ def solve_dirichlet_l2(A: CoefficientField, u0: np.ndarray) -> SolutionHandle:
     target = -scalar_to_coeffs(grid, u0 - c)
 
     K = grid.nmodes
-    w = grid.mode_magnitudes()[:, None]
     dec = decompose(core.uT)
-    W = dec.vectors
-    Z = np.concatenate([W[K:] / w, W[:K] / w])  # S^-1 W, T's eigenvectors
-    # every column is scaled to unit norm, as eig returns them, before the
-    # + ones are selected: the norms of the selection alone differ in the
-    # last bit
-    Z /= np.linalg.norm(Z, axis=0)
+    Z, _ = _T_eigenvectors(grid, dec.vectors)
     Z = Z[:, dec.eigenvalues.real > 0]  # basis of the + subspace of T
     Ztop = Z[:K]
     sv = np.linalg.svd(Ztop, compute_uv=False)

@@ -38,7 +38,7 @@ from halfspace.operators import (
     spectral_projectors,
     weighted_norm,
 )
-from halfspace.quadnorms import PsiSpec
+from halfspace.quadnorms import PsiSpec, _table_columns
 from halfspace.solvers import SolutionHandle, evaluate, solve_dirichlet_l2
 
 
@@ -354,13 +354,14 @@ def test_spectral_columns_match_per_t_semigroup_and_psi(grid):
         fac = np.where(pos, np.exp(-t * np.where(pos, dec.eigenvalues, 0)), 0)
         ref = dec.vectors @ (fac * (dec.vectors_inv @ x))
         assert np.linalg.norm(cols[:, j] - ref) <= 1e-12 * np.linalg.norm(ref), t
-    # whole-spectrum functions: psi(t uT) p column by column
+    # whole-spectrum functions, through the quadratic norms' kernel: psi(t uT) p
+    # column by column
     p = rng.standard_normal(uT.dim) + 1j * rng.standard_normal(uT.dim)
     psi = PsiSpec(k=2)
-    cols = spectral_columns(
-        uT, ts[1:], p, lambda t, lam: psi.eigenvalue_function(t)(lam), plus_subspace=False
+    levels, cols = _table_columns(
+        uT, p, psi, lambda t, lam: psi.eigenvalue_function(t)(lam), 200
     )
-    for j, t in enumerate(ts[1:]):
+    for j, t in enumerate(levels):
         ref = dec.vectors @ (psi.eigenvalue_function(t)(dec.eigenvalues) * (dec.vectors_inv @ p))
         assert np.linalg.norm(cols[:, j] - ref) <= 1e-12 * np.linalg.norm(ref), t
 

@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +10,15 @@ import pytest
 from scipy.integrate import quad
 
 import halfspace
-from halfspace.coeffs import hat_transform, make_family
+from halfspace.coeffs import FAMILY_KINDS, hat_transform, make_family
 from halfspace.grid import GridSpec, scalar_to_coeffs
-from halfspace.operators import OperatorMatrix, assemble_operators, decompose, weight_vector
+from halfspace.operators import (
+    OperatorMatrix,
+    UnreliableDecompositionError,
+    assemble_operators,
+    decompose,
+    weight_vector,
+)
 from halfspace.quadnorms import (
     PsiSpec,
     c_psi,
@@ -142,3 +150,90 @@ def test_semigroup_norm_matches_abs_route():
     for s in (-1.0, -0.5, -0.25):
         ref = _semigroup_norm_via_abs(uT, p, s)
         assert abs(semigroup_norm(uT, p, s) - ref) <= 1e-10 * ref, s
+
+
+def _criterion_9_loop(grid, T, uT, seed):
+    # the norms criterion 9 takes of one field: T and uT adapted norms and
+    # the semigroup norm, three vectors, every s
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(3):
+        p = rng.standard_normal(2 * grid.nmodes) + 1j * rng.standard_normal(2 * grid.nmodes)
+        out += [quad_norm_adapted(T, p, s) for s in (0.0, 0.5, 1.0)]
+        out += [quad_norm_adapted(uT, p, s) for s in (-1.0, -0.5, 0.0)]
+        out += [semigroup_norm(uT, p, s) for s in (-1.0, -0.5)]
+    return out
+
+
+def test_one_field_is_factored_once(monkeypatch):
+    # T = S^-1 uT S takes its eigenpairs from uT's: one eig for the field
+    grid = GridSpec(n=1, N=16, L=2 * np.pi)
+    _, _, T, uT = assemble_operators(hat_transform(make_family(grid, "smooth_trig", seed=4)))
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+    _criterion_9_loop(grid, T, uT, 4)
+    assert calls == [uT.matrix.shape]
+
+
+def test_each_table_is_built_once(monkeypatch):
+    grid = GridSpec(n=1, N=16, L=2 * np.pi)
+    _, _, T, uT = assemble_operators(hat_transform(make_family(grid, "smooth_trig", seed=5)))
+    calls = []
+    build = PsiSpec.eigenvalue_function
+    monkeypatch.setattr(
+        PsiSpec, "eigenvalue_function", lambda self, t: calls.append((self.k, t.shape)) or build(self, t)
+    )
+    _criterion_9_loop(grid, T, uT, 5)
+    _criterion_9_loop(grid, T, uT, 6)
+    # k = 1 (T at s = 0, 1/2 and uT at every s) and k = 2 (T at s = 1), each
+    # on the whole table; T shares uT's
+    assert calls == [(1, (1, 200)), (2, (1, 200))]
+    p = np.ones(2 * grid.nmodes)
+    quad_norm_adapted(uT, p, 0.0, npoints=100)
+    quad_norm_adapted(T, p, 0.5, npoints=100)
+    assert calls[2:] == [(1, (1, 100))]
+
+
+@pytest.mark.parametrize("family", FAMILY_KINDS)
+def test_T_norms_match_a_fresh_factorization(family):
+    # decompose(T) from uT's eigenpairs against T factored by its own eig
+    grid = GridSpec(n=1, N=32, L=2 * np.pi)
+    _, _, T, uT = assemble_operators(hat_transform(make_family(grid, family, seed=6)))
+    fresh = OperatorMatrix(grid, T.matrix)
+    rng = np.random.default_rng(6)
+    for _ in range(2):
+        p = rng.standard_normal(2 * grid.nmodes) + 1j * rng.standard_normal(2 * grid.nmodes)
+        for s in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            ref = quad_norm_adapted(fresh, p, s)
+            assert abs(quad_norm_adapted(T, p, s) - ref) <= 1e-12 * ref, s
+    assert np.array_equal(decompose(T).eigenvalues, decompose(uT).eigenvalues)
+    assert decompose(T).reliable and "_decomposition" in fresh.__dict__
+
+
+def test_tables_are_freed_with_the_operators():
+    grid = GridSpec(n=1, N=16, L=2 * np.pi)
+    _, _, T, uT = assemble_operators(hat_transform(make_family(grid, "smooth_trig", seed=7)))
+    _criterion_9_loop(grid, T, uT, 7)
+    tables = decompose(uT).tables
+    assert decompose(T).tables is tables and len(tables) == 3
+    refs = [weakref.ref(T), weakref.ref(uT), weakref.ref(decompose(T))]
+    refs += [weakref.ref(a) for table in tables.values() for a in table]
+    del T, uT, tables
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+@pytest.mark.parametrize("norm", ["adapted", "semigroup"])
+def test_norms_refuse_an_unreliable_eigenbasis(grid, norm):
+    # a 2 x 2 Jordan block: eig returns two parallel eigenvectors
+    m = np.diag(np.arange(1.0, 2 * grid.nmodes + 1))
+    m[1, 1], m[0, 1] = 1.0, 1.0
+    op = OperatorMatrix(grid, m)
+    assert not decompose(op).reliable
+    p = np.ones(2 * grid.nmodes)
+    with pytest.raises(UnreliableDecompositionError):
+        if norm == "adapted":
+            quad_norm_adapted(op, p, 0.0)
+        else:
+            semigroup_norm(op, p, -0.5)
