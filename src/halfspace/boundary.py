@@ -75,15 +75,15 @@ def sgn_blocks(uT: OperatorMatrix, method: str = "eigen") -> SgnBlocks:
 
 @dataclass(frozen=True)
 class SpectralCore:
-    """Everything built from one coefficient field A: B = hat(A), S, calB,
-    T = calB S, uT = S calB and the blocks of sgn(uT).  On the eigen route
-    the factorization behind the blocks stays on uT, so later spectral maps
-    of uT reuse it, and the core itself stays on A (see build_core);
+    """Everything built from one coefficient field A: B = hat(A), calB,
+    T = calB S, uT = S calB and the blocks of sgn(uT); S itself is the exact
+    map operators._apply_S.  On the eigen route the factorization behind the
+    blocks stays on uT, so later spectral maps of uT and T reuse it, and the
+    core itself stays on A (see build_core);
     calB.margin_bound is the pointwise accretivity of B, a lower bound on
     that of calB, and uT.margin_bound the certified spectral margin of uT."""
 
     B: CoefficientField
-    S: OperatorMatrix
     calB: OperatorMatrix
     T: OperatorMatrix
     uT: OperatorMatrix
@@ -106,8 +106,8 @@ def build_core(A: CoefficientField, method: str = "eigen") -> SpectralCore:
         if core is not None:
             return core
     B = hat_transform(A)
-    S, calB, T, uT = assemble_operators(B)
-    core = SpectralCore(B, S, calB, T, uT, sgn_blocks(uT, method=method))
+    _, calB, T, uT = assemble_operators(B)
+    core = SpectralCore(B, calB, T, uT, sgn_blocks(uT, method=method))
     if method == "eigen":
         # the dataclass is frozen; its __setattr__ guards the fields, not __dict__
         A.__dict__["_core"] = core

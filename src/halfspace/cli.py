@@ -47,6 +47,7 @@ from .expr import ExprError, evaluate_expr
 from .grid import GridSpec, fftn, ifftn, remove_mean
 from .operators import (
     OperatorMatrix,
+    _apply_S,
     kato_check,
     matrix_sign,
     spectral_projectors,
@@ -217,7 +218,7 @@ def _verify_item(args: tuple) -> dict:
     seed = item_seed(master, item["index"])
     A = make_family(grid, item["family"], seed=seed)
     core = build_core(A)
-    S, calB, T, uT = core.S, core.calB, core.T, core.uT
+    calB, T, uT = core.calB, core.T, core.uT
     out = {
         "id": f"{item['family']}-{item['rep']}",
         "block_class": A.block_class,
@@ -241,8 +242,9 @@ def _verify_item(args: tuple) -> dict:
             np.linalg.norm(Pm.matrix @ Pm.matrix - Pm.matrix, 2),
         )
     )
+    # uT S = (S uT^T)^T: both products are exact block swaps
     out["intertwine_uTS_ST"] = float(
-        np.linalg.norm(uT.matrix @ S.matrix - S.matrix @ T.matrix, 2)
+        np.linalg.norm(_apply_S(grid, uT.matrix.T).T - _apply_S(grid, T.matrix), 2)
     )
     out["intertwine_BuT_TB"] = float(
         np.linalg.norm(calB.matrix @ uT.matrix - T.matrix @ calB.matrix, 2)
@@ -372,7 +374,7 @@ def run_solve(config: ExperimentConfig) -> int:
         "config": config.report_echo(),
         "problem": problem,
         "block_class": A.block_class,
-        "diagnostics": _jsonable(handle.diagnostics),
+        "diagnostics": handle.diagnostics,
     }
     if config.options.get("compare_oracle") and problem in ("neumann", "energy"):
         from .oracle import StripMesh, energy_solve_neumann, strip_gradient_error
@@ -387,18 +389,6 @@ def run_solve(config: ExperimentConfig) -> int:
           + (f"; oracle delta {summary['oracle_delta']:.3e}"
              if "oracle_delta" in summary else ""))
     return EXIT_OK
-
-
-def _jsonable(d: dict) -> dict:
-    out = {}
-    for k, v in d.items():
-        if isinstance(v, complex):
-            out[k] = [v.real, v.imag]
-        elif isinstance(v, (np.floating, np.integer)):
-            out[k] = float(v)
-        else:
-            out[k] = v
-    return out
 
 
 # --------------------------------------------------------------- rellich
@@ -495,7 +485,7 @@ def _norms_item(args: tuple) -> dict | None:
         "id": f"{item['family']}-{item['rep']}",
         "N": N,
         "ratio_H0_over_NT": float(np.linalg.norm(handle.trace) / nt),
-        "ratio_H0t_over_sqfn": float(np.linalg.norm(hd.trace) / max(sq, 1e-300)),
+        "ratio_H0t_over_sqfn": float(hd.diagnostics["trace_norm"] / max(sq, 1e-300)),
     }
 
 

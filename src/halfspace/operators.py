@@ -5,8 +5,9 @@ All operators on H0 are represented as dense complex matrices of dimension
 first).  The functional calculus (sign, semigroups, quadratic-norm
 functions) is eigendecomposition-based.  Of the two first-order operators
 only uT = S calB is factored: T = calB S = S^-1 uT S shares its calculus
-through S, so exp(-t T) = S^-1 exp(-t uT) S, and decompose(T) is built
-from uT's eigenpairs with no factorization of its own.  The sign function has a
+through S, so f(T) = S^-1 f(uT) S, and S and S^-1 are exact maps
+(_apply_S, _apply_S_inv) around uT's one decomposition; T carries none of
+its own.  The sign function has a
 second route, the scaled Newton iteration, which needs no eigenbasis: it
 serves the callers that need only sgn, checks the eigen route, and
 replaces it when an eigenbasis is ill-conditioned.  Its scaling starts
@@ -121,9 +122,9 @@ class OperatorMatrix:
 class SpectralDecomposition:
     """op = vectors diag(eigenvalues) vectors_inv, with the conditioning of
     the basis and a reconstruction check (reliable).  tables holds arrays
-    that callers derive from the spectrum alone and build once per
-    decomposition (the quadratic norms keep their f(t_j, lambda_i) tables
-    there); operators with one spectrum may share it."""
+    derived from the spectrum alone and built once per decomposition: the
+    f(t_j, lambda_i) tables of _table_columns, which serve T's quadratic
+    norms as well as uT's."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
@@ -142,53 +143,27 @@ def decompose(op: OperatorMatrix) -> SpectralDecomposition:
     instance: it is freed with the operator, and another operator is
     factored afresh even when its entries are equal.
 
-    The T of assemble_operators is not factored: T = S^-1 uT S, so its
-    eigenvalues are uT's, its eigenvectors are S^-1 W scaled to unit columns
-    (_T_eigenvectors) and their inverse is W^-1 S with the matching row
-    scaling, all from decompose(uT).  It keeps its own cond and
-    reconstruction check, so reliable gates T as it gates uT, and it shares
-    uT's tables.
+    reliable needs a finite cond(W) and a reconstruction within 1e-8 of op;
+    an exactly singular W has no inverse and counts as cond = inf.  The T of
+    assemble_operators needs no decomposition of its own: its maps go
+    through uT's and S (_table_columns, the solvers).
     """
     dec = op.__dict__.get("_decomposition")
     if dec is not None:
         return dec
-    uT = op.__dict__.get("_uT")
-    if uT is None:
-        lam, W = np.linalg.eig(op.matrix)
-        dec = _checked(op.matrix, lam, W, np.linalg.inv(W), {})
+    lam, W = np.linalg.eig(op.matrix)
+    try:
+        Winv = np.linalg.inv(W)
+    except np.linalg.LinAlgError:  # an exactly singular eigenvector matrix
+        Winv, cond = np.full_like(W, np.nan), np.inf
     else:
-        base = decompose(uT)
-        Z, norms = _T_eigenvectors(op.grid, base.vectors)
-        Zinv = norms[:, None] * _apply_S(op.grid, base.vectors_inv.T).T
-        dec = _checked(op.matrix, base.eigenvalues, Z, Zinv, base.tables)
+        cond = float(np.linalg.cond(W))
+    err = np.linalg.norm((W * lam) @ Winv - op.matrix)
+    reliable = bool(err <= 1e-8 * max(np.linalg.norm(op.matrix), 1e-300) and np.isfinite(cond))
+    dec = SpectralDecomposition(lam, W, Winv, cond, float(np.min(np.abs(lam.real))), reliable)
     # the dataclass is frozen; its __setattr__ guards the fields, not __dict__
     op.__dict__["_decomposition"] = dec
     return dec
-
-
-def _checked(m, lam, W, Winv, tables) -> SpectralDecomposition:
-    """The decomposition m = W diag(lam) W^-1 with its conditioning and
-    reconstruction check."""
-    cond = float(np.linalg.cond(W))
-    margin = float(np.min(np.abs(lam.real)))
-    recon = (W * lam) @ Winv
-    scale = np.linalg.norm(m)
-    err = np.linalg.norm(recon - m)
-    reliable = bool(err <= 1e-8 * max(scale, 1e-300) and np.isfinite(cond))
-    return SpectralDecomposition(lam, W, Winv, cond, margin, reliable, tables)
-
-
-def _T_eigenvectors(grid: GridSpec, W: np.ndarray):
-    """(Z, norms): T's eigenvectors Z = S^-1 W D^-1 from uT's eigenvectors W,
-    D = diag(norms) the column norms of S^-1 W, so Z has unit columns, as
-    eig returns them.  Z^-1 = D W^-1 S.  Every column is scaled before any
-    is selected: the norms of a selection alone differ in the last bit."""
-    K = grid.nmodes
-    w = grid.mode_magnitudes()[:, None]
-    Z = np.concatenate([W[K:] / w, W[:K] / w])
-    norms = np.linalg.norm(Z, axis=0)
-    Z /= norms
-    return Z, norms
 
 
 def mode_weights(grid: GridSpec, s: float) -> np.ndarray:
@@ -241,6 +216,14 @@ def _apply_S(grid: GridSpec, X: np.ndarray) -> np.ndarray:
     K = grid.nmodes
     w = grid.mode_magnitudes().reshape((K,) + (1,) * (X.ndim - 1))
     return np.concatenate([w * X[K:], w * X[:K]])
+
+
+def _apply_S_inv(grid: GridSpec, X: np.ndarray) -> np.ndarray:
+    """S^-1 @ X for S = assemble_S(grid), X of 2K rows: the two halves of
+    the rows swapped and each row divided by |xi|."""
+    K = grid.nmodes
+    w = grid.mode_magnitudes().reshape((K,) + (1,) * (X.ndim - 1))
+    return np.concatenate([X[K:] / w, X[:K] / w])
 
 
 def _gather(grid: GridSpec, samples: np.ndarray, left, right) -> np.ndarray:
@@ -311,8 +294,8 @@ def assemble_operators(B: CoefficientField):
     # T = calB S is the transpose of S calB^T
     T = OperatorMatrix(grid, _apply_S(grid, calB.matrix.T).T, bound)
     uT = OperatorMatrix(grid, _apply_S(grid, calB.matrix), bound)
-    # T = S^-1 uT S: decompose(T) reads uT's decomposition (the dataclass is
-    # frozen; its __setattr__ guards the fields, not __dict__)
+    # T = S^-1 uT S: _table_columns maps T's norms through uT's decomposition
+    # (the dataclass is frozen; its __setattr__ guards the fields, not __dict__)
     T.__dict__["_uT"] = uT
     return S, calB, T, uT
 
@@ -467,9 +450,9 @@ def spectral_columns(
     The spectrum must pass the bisectoriality gate and x must lie in the +
     spectral subspace (SubspaceError otherwise).  W^-1 x is formed once and
     the table F[i, j] = f(t_j, lambda_i), on the eigenvalues with positive
-    real part only, is applied in one product W+ (F * (W^-1 x)+).  A t = 0
-    column is an exact copy of x.  The quadratic norms, whose functions act
-    on the whole spectrum, apply their own tables (quadnorms).
+    real part only, is applied in one product W+ (F * (W^-1 x)+).  For the
+    default f a t = 0 column is an exact copy of x.  The quadratic norms,
+    whose functions act on the whole spectrum, use _table_columns.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if np.any(ts < 0):
@@ -477,18 +460,50 @@ def spectral_columns(
     dec, pos, coeff = plus_coefficients(op, x, reject_tol)
     F = f(ts[None, :], dec.eigenvalues[pos, None])
     out = dec.vectors[:, pos] @ (F * coeff[pos, None])
-    out[:, ts == 0] = x[:, None]
+    if f is _decay:
+        out[:, ts == 0] = x[:, None]
     return out
+
+
+def _table_columns(op: OperatorMatrix, p: np.ndarray, key, f, npoints: int):
+    """(ts, columns f(t_j, op) p) over the log-t levels ts of op, with f
+    applied to the whole spectrum (the quadratic norms' kernel).
+
+    Refuses an unreliable eigenbasis.  The table F[i, j] = f(t_j, lambda_i)
+    and its levels are built on the first call for (key, npoints) and kept
+    in the decomposition's tables.  The T of assemble_operators is not
+    factored: T = S^-1 uT S, so its columns are S^-1 times uT's columns of
+    S p, and its norms are refused when uT's basis is unreliable.
+    """
+    uT = op.__dict__.get("_uT")
+    if uT is not None:
+        ts, cols = _table_columns(uT, _apply_S(op.grid, p), key, f, npoints)
+        return ts, _apply_S_inv(op.grid, cols)
+    dec = decompose(op)
+    _require_reliable(dec)
+    table = dec.tables.get((key, npoints))
+    if table is None:
+        ts = log_t_levels(op, npoints)
+        table = dec.tables[key, npoints] = (ts, f(ts[None, :], dec.eigenvalues[:, None]))
+    ts, F = table
+    return ts, dec.vectors @ (F * (dec.vectors_inv @ p)[:, None])
+
+
+def _require_reliable(dec: SpectralDecomposition) -> None:
+    if not dec.reliable:
+        raise UnreliableDecompositionError(f"unreliable eigendecomposition (cond {dec.cond:.3e})")
 
 
 def plus_coefficients(op: OperatorMatrix, x: np.ndarray, reject_tol: float = 1e-6):
     """Eigen-coordinates W^-1 x of a vector in the + spectral subspace.
 
-    Applies the bisectoriality gate and raises SubspaceError when the part
+    Applies the bisectoriality gate, refuses an unreliable eigenbasis
+    (UnreliableDecompositionError) and raises SubspaceError when the part
     of x on eigenvalues with negative real part exceeds reject_tol ||x||.
     Returns (decomposition, mask of the + eigenvalues, W^-1 x).
     """
     dec = check_bisectorial(op)
+    _require_reliable(dec)
     coeff = dec.vectors_inv @ x
     pos = dec.eigenvalues.real >= 0
     nrm = np.linalg.norm(x)

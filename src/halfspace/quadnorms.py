@@ -4,12 +4,12 @@ The norm ||F||_{S,s} = (int_0^inf t^(-2s) ||psi_t(S) F||^2 dt/t)^(1/2) with
 psi(z) = z^k exp(-z sgn z) has the closed form c_{psi,s} |||S|^s F||, with
 c_{psi,s} = sqrt(Gamma(2k - 2s) / 2^(2k - 2s)).  Operator-adapted variants
 are evaluated by log-spaced quadrature through the eigendecomposition, which
-the operator keeps (operators.decompose), so T = S^-1 uT S is not factored on
-its own.  The table F[i, j] = f(t_j, lambda_i) of each psi, or of the
-semigroup, and its levels t_j are built once per (function, npoints) and kept
-with the decomposition, freed with the operator; T shares uT's, since the
-spectrum and the levels are the same.  Each norm is then one W^-1 p, one
-product and the trapezoid.
+the operator keeps (operators.decompose).  The table F[i, j] = f(t_j,
+lambda_i) of each psi, or of the semigroup, and its levels t_j are built once
+per (function, npoints) and kept with the decomposition, freed with the
+operator.  Each norm is then one W^-1 p, one product and the trapezoid
+(operators._table_columns).  T = S^-1 uT S is not factored: its columns are
+S^-1 times uT's columns of S p, on uT's tables.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ import numpy as np
 from .grid import GridSpec
 from .operators import (
     OperatorMatrix,
-    UnreliableDecompositionError,
-    decompose,
-    log_t_levels,
+    _table_columns,
     log_t_quadrature,
     weight_vector,
 )
@@ -92,26 +90,6 @@ def quad_norm_S(
     return c_psi(psi, s) * float(np.linalg.norm(w * p))
 
 
-def _table_columns(op: OperatorMatrix, p: np.ndarray, key, f, npoints: int):
-    """(ts, columns f(t_j, op) p) over the log-t levels ts of op.
-
-    Refuses an unreliable eigenbasis.  The table F[i, j] = f(t_j, lambda_i)
-    and its levels are built on the first call for (key, npoints) and kept
-    in the decomposition's tables (T's are uT's).
-    """
-    dec = decompose(op)
-    if not dec.reliable:
-        raise UnreliableDecompositionError(
-            "unreliable eigendecomposition; refusing the quadratic norm"
-        )
-    table = dec.tables.get((key, npoints))
-    if table is None:
-        ts = log_t_levels(op, npoints)
-        table = dec.tables[key, npoints] = (ts, f(ts[None, :], dec.eigenvalues[:, None]))
-    ts, F = table
-    return ts, dec.vectors @ (F * (dec.vectors_inv @ p)[:, None])
-
-
 def _table_norm(op: OperatorMatrix, p: np.ndarray, s: float, key, f, npoints: int) -> float:
     ts, cols = _table_columns(op, p, key, f, npoints)
     return log_t_quadrature(ts, -2 * s, np.sum(np.abs(cols) ** 2, axis=0))
@@ -125,7 +103,8 @@ def quad_norm_adapted(
     npoints: int = 200,
 ) -> float:
     """Adapted quadratic norm by trapezoid quadrature in log t.  Raises
-    UnreliableDecompositionError when op's eigenbasis is unreliable."""
+    UnreliableDecompositionError when op's eigenbasis (for T, uT's) is
+    unreliable."""
     _check_s(s)
     psi = psi or default_psi(s)
     psi.check_exponent(s)

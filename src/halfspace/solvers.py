@@ -1,11 +1,12 @@
 """Semigroup solvers for the upper-half-space boundary value problems.
 
-Each solver produces an immutable handle holding a graph vector in the +
-spectral subspace; evaluation on the strip is pure semigroup application.
-In V-coordinates the conormal gradient satisfies the first-order ODE
-d/dt p + uT p = 0, so p(t) = exp(-t uT) p(0).  The Dirichlet potential is
-u = -(exp(-t T) H0~)_perp + c, and T = S^-1 uT S, so it is read from the
-same columns: u = -(S^-1 exp(-t uT) S H0~)_perp + c.
+Each solver produces an immutable handle holding the conormal gradient p(0)
+at t = 0, in the + spectral subspace of uT; evaluation on the strip is pure
+semigroup application.  In V-coordinates the conormal gradient satisfies
+the first-order ODE d/dt p + uT p = 0, so p(t) = exp(-t uT) p(0).  The
+Dirichlet solve stores p(0) = S H0~ for H0~ in the + subspace of
+T = S^-1 uT S, and its potential is u = -(S^-1 p(t))_perp plus an x-mean
+that moves with t (see evaluate).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .grid import (
 from .operators import (
     OperatorMatrix,
     _apply_S,
-    _T_eigenvectors,
+    _apply_S_inv,
     decompose,
     log_t_levels,
     log_t_quadrature,
@@ -70,11 +71,11 @@ class IllPosedError(NumericalError):
 class SolutionHandle:
     """Immutable solver output: a graph vector plus the core it evolves by.
 
-    trace is the V-coordinate vector H0 (or H0~ for the Dirichlet solve);
+    trace is the V-coordinate conormal gradient at t = 0 (S H0~ for the
+    Dirichlet solve), which must lie in the + spectral subspace of uT;
     core is build_core(A), whose uT drives the conormal gradient, and
-    through S the Dirichlet potential, and whose B gives the full gradient;
-    gauge_c is the additive constant of the potential.  The conormal
-    gradient at t = 0 must lie in the + spectral subspace of uT.
+    through S^-1 the Dirichlet potential, and whose B gives the full
+    gradient; gauge_c is the mean of the Dirichlet datum.
     """
 
     representation: str  # l2_neumann | l2_regularity | l2_dirichlet | energy
@@ -95,7 +96,7 @@ class SolutionHandle:
             raise ValueError("non-finite trace vector")
         object.__setattr__(self, "trace", tr)
         tr.setflags(write=False)
-        plus_coefficients(self.core.uT, _gradient_trace(self))
+        plus_coefficients(self.core.uT, tr)
 
     @property
     def grid(self) -> GridSpec:
@@ -244,9 +245,10 @@ def solve_dirichlet_l2(A: CoefficientField, u0: np.ndarray) -> SolutionHandle:
     """Dirichlet problem with L2 datum u0 at t = 0.
 
     Finds H0~ in the + spectral subspace of T whose perpendicular part is
-    -(u0 - mean) by least squares over a basis of that subspace; the
-    potential is u = -(exp(-t T) H0~)_perp + mean(u0).  T = S^-1 uT S is
-    not factored: the basis is S^-1 W for uT's eigenvectors W.
+    -(u0 - mean) by least squares over a basis of that subspace, and stores
+    the conormal gradient S H0~ as the handle's trace.  T = S^-1 uT S is
+    not factored: the basis is S^-1 W for uT's eigenvectors W, scaled to
+    unit columns as eig returns them.
     """
     grid = A.grid
     u0 = np.ascontiguousarray(u0, dtype=complex)
@@ -260,7 +262,10 @@ def solve_dirichlet_l2(A: CoefficientField, u0: np.ndarray) -> SolutionHandle:
 
     K = grid.nmodes
     dec = decompose(core.uT)
-    Z, _ = _T_eigenvectors(grid, dec.vectors)
+    Z = _apply_S_inv(grid, dec.vectors)
+    # every column is scaled before any is selected: the norms of a
+    # selection alone differ in the last bit
+    Z /= np.linalg.norm(Z, axis=0)
     Z = Z[:, dec.eigenvalues.real > 0]  # basis of the + subspace of T
     Ztop = Z[:K]
     sv = np.linalg.svd(Ztop, compute_uv=False)
@@ -285,8 +290,9 @@ def solve_dirichlet_l2(A: CoefficientField, u0: np.ndarray) -> SolutionHandle:
         "datum_norm": l2_norm(grid, u0),
         "trace_norm": float(np.linalg.norm(H0t)),
     }
-    diag["square_function"] = _square_function(core, _apply_S(grid, H0t))
-    return SolutionHandle("l2_dirichlet", A, H0t, core, c, diag)
+    p0 = _apply_S(grid, H0t)
+    diag["square_function"] = _square_function(core, p0)
+    return SolutionHandle("l2_dirichlet", A, p0, core, c, diag)
 
 
 def _square_function(core: SpectralCore, p0: np.ndarray, npoints: int = 200) -> float:
@@ -358,15 +364,7 @@ def _strip_energy(uT: OperatorMatrix, H0: np.ndarray, npoints: int = 400) -> flo
 
 def gradient_vcoords(handle: SolutionHandle, t: float) -> np.ndarray:
     """V-coordinates of the conormal gradient at height t."""
-    return semigroup_apply(handle.core.uT, t, _gradient_trace(handle))
-
-
-def _gradient_trace(handle: SolutionHandle) -> np.ndarray:
-    """V-coordinates of the conormal gradient at t = 0."""
-    if handle.representation != "l2_dirichlet":
-        return handle.trace
-    # grad_A u = exp(-t uT) S H0~ when u = -(exp(-t T) H0~)_perp + c
-    return _apply_S(handle.grid, handle.trace)
+    return semigroup_apply(handle.core.uT, t, handle.trace)
 
 
 def _strip_levels(t_grid) -> np.ndarray:
@@ -378,7 +376,7 @@ def _strip_levels(t_grid) -> np.ndarray:
 
 def _gradient_fields(handle: SolutionHandle, ts: np.ndarray) -> np.ndarray:
     """Conormal gradient fields at the heights ts, (nt, 1+n) + grid.shape."""
-    P = spectral_columns(handle.core.uT, ts, _gradient_trace(handle))
+    P = spectral_columns(handle.core.uT, ts, handle.trace)
     return vcoords_to_fields(handle.grid, P)
 
 
@@ -391,16 +389,26 @@ def _full_gradient(B: CoefficientField, F: np.ndarray) -> np.ndarray:
 
 
 def evaluate(handle: SolutionHandle, t_grid) -> StripField:
-    """Sample the solution on the given heights (pure, deterministic)."""
+    """Sample the solution on the given heights (pure, deterministic).
+
+    The Dirichlet potential is u = -(S^-1 P)_perp plus its x-mean, for the
+    columns P = exp(-t uT) p0.  V-coordinates carry no mean, so the mean is
+    integrated from d/dt u = (B P)_perp: G(t) = uT^-1 exp(-t uT) p0 is the
+    integral of P from t to infinity, so u(t) - u(inf) = -(B G(t))_perp, and
+    mean u(0) = mean(u0) gives mean u(t) = mean(u0) + m(0) - m(t) with
+    m(t) = mean((B G(t))_perp).
+    """
     grid = handle.grid
     ts = _strip_levels(t_grid)
     if handle.representation != "l2_dirichlet":
         return StripField(grid, ts, "grad", grad=_gradient_fields(handle, ts))
-    P = spectral_columns(handle.core.uT, ts, _gradient_trace(handle))
-    # P = exp(-t uT) S H0~, so exp(-t T) H0~ = S^-1 P, whose perpendicular
-    # slot is the tangential slot of P over |xi|
-    w = grid.mode_magnitudes()[:, None]
-    u = -coeffs_to_scalar(grid, P[grid.nmodes:] / w) + handle.gauge_c
+    P = spectral_columns(handle.core.uT, ts, handle.trace)
+    G = spectral_columns(handle.core.uT, np.concatenate([[0.0], ts]), handle.trace,
+                         lambda t, lam: np.exp(-t * lam) / lam)
+    BG = _full_gradient(handle.core.B, vcoords_to_fields(grid, G))[:, 0]
+    mean = np.mean(BG, axis=tuple(range(1, 1 + grid.n)))
+    u = -coeffs_to_scalar(grid, _apply_S_inv(grid, P)[:grid.nmodes])
+    u += (handle.gauge_c + mean[0] - mean[1:]).reshape((-1,) + (1,) * grid.n)
     return StripField(grid, ts, "both", grad=vcoords_to_fields(grid, P), u=u)
 
 

@@ -27,18 +27,23 @@ from halfspace.operators import (
     NewtonConvergenceError,
     OperatorMatrix,
     SubspaceError,
+    UnreliableDecompositionError,
+    _apply_S,
+    _apply_S_inv,
+    _table_columns,
     assemble_S,
     assemble_calB,
     assemble_operators,
     decompose,
     kato_check,
     matrix_sign,
+    plus_coefficients,
     semigroup_apply,
     spectral_columns,
     spectral_projectors,
     weighted_norm,
 )
-from halfspace.quadnorms import PsiSpec, _table_columns
+from halfspace.quadnorms import PsiSpec, quad_norm_adapted
 from halfspace.solvers import SolutionHandle, evaluate, solve_dirichlet_l2
 
 
@@ -106,6 +111,36 @@ def test_block_swap_equals_dense_S_products(g, kind):
     _, (S, calB, T, uT) = ops_for(g, kind, seed=4)
     assert np.array_equal(T.matrix, calB.matrix @ S.matrix)
     assert np.array_equal(uT.matrix, S.matrix @ calB.matrix)
+
+
+@pytest.mark.parametrize("g", ASSEMBLY_GRIDS, ids=["n1N16", "n2N8"])
+def test_S_inverse_undoes_S(g):
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((2 * g.nmodes, 3)) + 1j * rng.standard_normal((2 * g.nmodes, 3))
+    S = assemble_S(g).matrix
+    assert np.allclose(_apply_S_inv(g, X), np.linalg.solve(S, X), rtol=0, atol=1e-14)
+    assert np.allclose(_apply_S_inv(g, _apply_S(g, X)), X, rtol=0, atol=1e-14)
+    assert np.array_equal(_apply_S_inv(g, X[:, 0]), _apply_S_inv(g, X)[:, 0])
+
+
+def test_singular_eigenvector_matrix_is_unreliable():
+    # a 30 x 30 Jordan block: eig returns an exactly singular eigenvector
+    # matrix, so the basis has no inverse; the eigen sign takes Newton,
+    # which returns I, and the eigen-coordinate consumers refuse
+    grid = GridSpec(n=1, N=16, L=2 * np.pi)
+    m = np.eye(2 * grid.nmodes, dtype=complex)
+    m[np.arange(29), np.arange(1, 30)] = 1.0
+    op = OperatorMatrix(grid, m)
+    dec = decompose(op)
+    assert dec.cond == np.inf and not dec.reliable
+    assert np.array_equal(matrix_sign(op).matrix, np.eye(op.dim))
+    x = np.ones(op.dim)
+    with pytest.raises(UnreliableDecompositionError):
+        plus_coefficients(op, x)
+    with pytest.raises(UnreliableDecompositionError):
+        spectral_columns(op, [0.0, 1.0], x)
+    with pytest.raises(UnreliableDecompositionError):
+        quad_norm_adapted(op, x, 0.0)
 
 
 def test_sign_is_involution_and_matches_newton(grid):
@@ -366,6 +401,20 @@ def test_spectral_columns_match_per_t_semigroup_and_psi(grid):
         assert np.linalg.norm(cols[:, j] - ref) <= 1e-12 * np.linalg.norm(ref), t
 
 
+def test_spectral_columns_apply_f_at_t0_unless_the_semigroup(grid):
+    # only the default semigroup copies x at t = 0; f = exp(-t lam) / lam
+    # gives uT^-1 x there, which the + subspace keeps
+    _, (S, calB, T, uT) = ops_for(grid, "lower_triangular_random", seed=11)
+    Pp, _ = spectral_projectors(matrix_sign(uT))
+    rng = np.random.default_rng(11)
+    x = Pp.matrix @ (rng.standard_normal(uT.dim) + 1j * rng.standard_normal(uT.dim))
+    cols = spectral_columns(uT, [0.0, 1.0], x, lambda t, lam: np.exp(-t * lam) / lam)
+    ref = np.linalg.solve(uT.matrix, x)
+    assert np.linalg.norm(cols[:, 0] - ref) <= 1e-10 * np.linalg.norm(ref)
+    ref = np.linalg.solve(uT.matrix, semigroup_apply(uT, 1.0, x))
+    assert np.linalg.norm(cols[:, 1] - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
 def test_spectral_columns_reject_minus_component(grid):
     _, (S, calB, T, uT) = ops_for(grid, "lower_triangular_random", seed=12)
     Pp, Pm = spectral_projectors(matrix_sign(uT))
@@ -378,18 +427,25 @@ def test_spectral_columns_reject_minus_component(grid):
         spectral_columns(uT, [0.0], x)
 
 
-def _dirichlet_reference(T, target, c, ts):
+def _dirichlet_reference(T, B, target, c, ts):
     # the restricted trace solve, and u and grad on the strip, through eig(T)
     K = T.grid.nmodes
+    S = assemble_S(T.grid).matrix
     lam, W = np.linalg.eig(T.matrix)
     pos = lam.real > 0
     Z = W[:, pos]
     sv = np.linalg.svd(Z[:K], compute_uv=False)
     y, *_ = np.linalg.lstsq(Z[:K], target, rcond=None)
     Q = Z @ (np.exp(-np.outer(lam[pos], ts)) * y[:, None])  # exp(-t T) H0~
-    u = -coeffs_to_scalar(T.grid, Q[:K]) + c
+    # the mean of u from d/dt u = (B grad_A u)_perp, with the integral of
+    # grad_A u from t to infinity S T^-1 exp(-t T) H0~, at t = 0 and at ts
+    ts0 = np.concatenate([[0.0], ts])
+    G = S @ (Z @ (np.exp(-np.outer(lam[pos], ts0)) / lam[pos, None] * y[:, None]))
+    BG = np.einsum("xq,tqx->tx", B.samples[:, 0, :], vcoords_to_fields(T.grid, G))
+    mean = np.mean(BG, axis=1)
+    u = -coeffs_to_scalar(T.grid, Q[:K]) + (c + mean[0] - mean[1:])[:, None]
     # grad_A u = S exp(-t T) H0~
-    grad = vcoords_to_fields(T.grid, assemble_S(T.grid).matrix @ Q)
+    grad = vcoords_to_fields(T.grid, S @ Q)
     return Z @ y, float(sv[0] / sv[-1]), u, grad
 
 
@@ -410,21 +466,22 @@ def test_T_decomposition_from_uT_matches_eig(N):
     core = build_core(A)
     assert "_decomposition" not in core.T.__dict__
     H0t, cond, u, grad = _dirichlet_reference(
-        core.T, -scalar_to_coeffs(grid, u0 - np.mean(u0)), np.mean(u0), ts)
-    assert np.linalg.norm(hd.trace - H0t) <= 1e-10 * np.linalg.norm(H0t)
+        core.T, core.B, -scalar_to_coeffs(grid, u0 - np.mean(u0)), np.mean(u0), ts)
+    # the handle keeps the conormal trace S H0~
+    assert np.linalg.norm(_apply_S_inv(grid, hd.trace) - H0t) <= 1e-10 * np.linalg.norm(H0t)
     assert abs(hd.diagnostics["restricted_cond"] - cond) <= 1e-10 * cond
     assert _rel(sf.u, u) <= 1e-10
     assert _rel(sf.grad, grad) <= 1e-10
 
 
 def test_dirichlet_handle_refuses_minus_subspace_of_T():
-    # a vector of T's - spectral subspace has S times it in uT's, which the
-    # handle's gate rejects
+    # a vector x of T's - spectral subspace has S x in uT's, which the
+    # handle's gate rejects as a conormal trace
     grid = GridSpec(n=1, N=16, L=2 * np.pi)
     A = make_family(grid, "lower_triangular_random", seed=14)
     hd = solve_dirichlet_l2(A, np.cos(grid.points()[0]))
     lam, W = np.linalg.eig(hd.core.T.matrix)
     x = W[:, lam.real < 0] @ np.ones(int(np.sum(lam.real < 0)))
     with pytest.raises(SubspaceError):
-        SolutionHandle("l2_dirichlet", A, x, hd.core, hd.gauge_c)
+        SolutionHandle("l2_dirichlet", A, _apply_S(grid, x), hd.core, hd.gauge_c)
     assert "_decomposition" not in hd.core.T.__dict__
