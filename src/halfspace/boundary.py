@@ -20,7 +20,8 @@ from .errors import NumericalError
 from .grid import GridSpec
 from .operators import (
     OperatorMatrix,
-    assemble_operators,
+    _assemble_uT,
+    assemble_calB,
     matrix_sign,
     weighted,
     weighted_norm,
@@ -67,47 +68,51 @@ class SgnBlocks:
 
 
 def sgn_blocks(uT: OperatorMatrix, method: str = "eigen") -> SgnBlocks:
-    """Extract the perpendicular/parallel blocks of sgn(uT)."""
-    sg = matrix_sign(uT, method=method)
-    s11, s12, s21, s22 = sg.blocks()
-    return SgnBlocks(uT.grid, s11.copy(), s12.copy(), s21.copy(), s22.copy())
+    """The perpendicular/parallel blocks of sgn(uT): read-only views of
+    one sign matrix."""
+    return SgnBlocks(uT.grid, *matrix_sign(uT, method=method).blocks())
 
 
 @dataclass(frozen=True)
 class SpectralCore:
     """Everything built from one coefficient field A: B = hat(A), calB,
-    T = calB S, uT = S calB and the blocks of sgn(uT); S itself is the exact
-    map operators._apply_S.  On the eigen route the factorization behind the
-    blocks stays on uT, so later spectral maps of uT and T reuse it, and the
-    core itself stays on A (see build_core);
-    calB.margin_bound is the pointwise accretivity of B, a lower bound on
-    that of calB, and uT.margin_bound the certified spectral margin of uT."""
+    uT = S calB and the blocks of sgn(uT).  S is the exact map
+    operators._apply_S and is never formed densely; nor is T = calB S,
+    which shares uT's calculus (T = S^-1 uT S) and which
+    operators.assemble_operators forms for the callers that need it.  On
+    the eigen route the factorization behind the blocks stays on uT, so
+    later spectral maps of uT, and of T through uT, reuse it, and the core
+    itself stays on A (see build_core); calB.margin_bound is the pointwise
+    accretivity of B, a lower bound on that of calB, and uT.margin_bound
+    the certified spectral margin of uT."""
 
     B: CoefficientField
     calB: OperatorMatrix
-    T: OperatorMatrix
     uT: OperatorMatrix
     blocks: SgnBlocks
 
 
 def build_core(A: CoefficientField, method: str = "eigen") -> SpectralCore:
-    """Assemble the first-order operators for A and the blocks of sgn(uT).
+    """Assemble hat(A), calB and uT for A, and the blocks of sgn(uT); no
+    dense S and no T.
 
     The default eigen route builds its core on first use and keeps it on A,
     as decompose keeps its result on the operator: every solve and map of
     A then shares one eigendecomposition, the core is freed with A, and an
     equal twin of A is built afresh.  method="newton" suits callers that
-    need only the sign blocks: it makes no eigendecomposition, and its core
-    is not kept, because each serves one Gamma computation and keeping it
-    would hold its operators as long as A.
+    need only the sign blocks: it makes no eigendecomposition, the Newton
+    iteration is its only O(dim^3) work, and its core is not kept, because
+    each serves one Gamma computation and keeping it would hold its
+    operators as long as A.
     """
     if method == "eigen":
         core = A.__dict__.get("_core")
         if core is not None:
             return core
     B = hat_transform(A)
-    _, calB, T, uT = assemble_operators(B)
-    core = SpectralCore(B, calB, T, uT, sgn_blocks(uT, method=method))
+    calB = assemble_calB(B)
+    uT = _assemble_uT(calB)
+    core = SpectralCore(B, calB, uT, sgn_blocks(uT, method=method))
     if method == "eigen":
         # the dataclass is frozen; its __setattr__ guards the fields, not __dict__
         A.__dict__["_core"] = core

@@ -48,6 +48,7 @@ from .grid import GridSpec, fftn, ifftn, remove_mean
 from .operators import (
     OperatorMatrix,
     _apply_S,
+    _assemble_T,
     kato_check,
     matrix_sign,
     spectral_projectors,
@@ -140,7 +141,7 @@ def _option(config: ExperimentConfig, name: str, convert, default):
     value = config.options.get(name, default)
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"option {name!r}: cannot read {value!r} ({exc})") from None
 
 
@@ -148,6 +149,16 @@ def _int(value) -> int:
     """A JSON integer as it is: 16.7 is not read as 16, nor true as 1."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def _float(value) -> float:
+    """A finite JSON number: neither true, nor "8", nor 1e400 (read as inf)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    value = float(value)  # an integer beyond the float range raises OverflowError
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite")
     return value
 
 
@@ -218,7 +229,7 @@ def _verify_item(args: tuple) -> dict:
     seed = item_seed(master, item["index"])
     A = make_family(grid, item["family"], seed=seed)
     core = build_core(A)
-    calB, T, uT = core.calB, core.T, core.uT
+    calB, uT = core.calB, core.uT
     out = {
         "id": f"{item['family']}-{item['rep']}",
         "block_class": A.block_class,
@@ -243,6 +254,7 @@ def _verify_item(args: tuple) -> dict:
         )
     )
     # uT S = (S uT^T)^T: both products are exact block swaps
+    T = _assemble_T(calB, uT)
     out["intertwine_uTS_ST"] = float(
         np.linalg.norm(_apply_S(grid, uT.matrix.T).T - _apply_S(grid, T.matrix), 2)
     )
@@ -401,7 +413,6 @@ def _rellich_item(args: tuple) -> dict:
     row = {"id": f"{item['family']}-{item['rep']}", "block_class": A.block_class, "N": N}
     blocks = build_core(A, method="newton").blocks
     row["forward"], row["inverse"], G = rellich_from_blocks(blocks)
-    _, Pm = spectral_projectors(OperatorMatrix(grid, blocks.reassemble()))
     K = grid.nmodes
     rng = np.random.default_rng(seed + 1)
     f = rng.standard_normal(K) + 1j * rng.standard_normal(K)
@@ -412,8 +423,11 @@ def _rellich_item(args: tuple) -> dict:
             G2 = np.linalg.solve(np.eye(K) - blocks.s22, blocks.s21)
         except np.linalg.LinAlgError:
             return row
-        vec = np.concatenate([f, G @ f])
-        row["graph_residual"] = float(np.linalg.norm(Pm.matrix @ vec) / np.linalg.norm(f))
+        # P- = (I - sgn)/2 applied blockwise to the graph vector (f, G f)
+        Gf = G @ f
+        residual = np.concatenate([f - blocks.s11 @ f - blocks.s12 @ Gf,
+                                   Gf - blocks.s21 @ f - blocks.s22 @ Gf])
+        row["graph_residual"] = float(0.5 * np.linalg.norm(residual) / np.linalg.norm(f))
         row["factorization_mismatch"] = float(np.linalg.norm(G - G2, 2))
     return row
 
@@ -435,8 +449,12 @@ def run_convergence(config: ExperimentConfig) -> int:
     from .oracle import StripMesh, gamma_nd_comparison
 
     ladder = _option(config, "ladder", _ladder, [[16, 64], [32, 128], [64, 256]])
-    band = _option(config, "band", float, 8.0)
-    amplitude = _option(config, "amplitude", float, 0.3)
+    band = _option(config, "band", _float, 8.0)
+    # below the least |xi| = 2 pi / L a band holds no mode on any rung
+    if band < 2 * np.pi / config.L:
+        raise ValueError(f"option 'band' must be at least 2 pi / L = "
+                         f"{2 * np.pi / config.L:.6g}, got {band}")
+    amplitude = _option(config, "amplitude", _float, 0.3)
     rows = []
     for N, M in ladder:
         grid = GridSpec(n=config.n, N=N, L=config.L)

@@ -211,11 +211,15 @@ def assemble_S(grid: GridSpec) -> OperatorMatrix:
 
 def _apply_S(grid: GridSpec, X: np.ndarray) -> np.ndarray:
     """S @ X for S = assemble_S(grid), X of 2K rows: the two halves of the
-    rows swapped and each row scaled by |xi|.  Each entry of the product has
-    one nonzero term, so this equals the dense product exactly."""
+    rows swapped and each row scaled by |xi|, written into one new array.
+    Each entry of the product has one nonzero term, so this equals the
+    dense product exactly."""
     K = grid.nmodes
     w = grid.mode_magnitudes().reshape((K,) + (1,) * (X.ndim - 1))
-    return np.concatenate([w * X[K:], w * X[:K]])
+    out = np.empty_like(X, dtype=np.result_type(w, X))
+    np.multiply(w, X[K:], out=out[:K])
+    np.multiply(w, X[:K], out=out[K:])
+    return out
 
 
 def _apply_S_inv(grid: GridSpec, X: np.ndarray) -> np.ndarray:
@@ -224,6 +228,21 @@ def _apply_S_inv(grid: GridSpec, X: np.ndarray) -> np.ndarray:
     K = grid.nmodes
     w = grid.mode_magnitudes().reshape((K,) + (1,) * (X.ndim - 1))
     return np.concatenate([X[K:] / w, X[:K] / w])
+
+
+def _convolution_table(grid: GridSpec):
+    """(idx, flat): the per-axis indices of the K nonzero modes, and the
+    K x K table of the flat grid index of k - l (mod N) for modes k, l."""
+    idx = np.nonzero(grid.nonzero_mask())
+    flat = np.zeros((grid.nmodes, grid.nmodes), dtype=np.intp)
+    for i in idx:
+        flat = flat * grid.N + (i[:, None] - i[None, :]) % grid.N
+    return idx, flat
+
+
+def _fourier_tables(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
+    """M_pq = fftn(samples[..., p, q]) / npoints, shape (P, Q) + grid.shape."""
+    return fftn(grid, np.moveaxis(samples, (-2, -1), (0, 1))) / grid.npoints
 
 
 def _gather(grid: GridSpec, samples: np.ndarray, left, right) -> np.ndarray:
@@ -235,11 +254,8 @@ def _gather(grid: GridSpec, samples: np.ndarray, left, right) -> np.ndarray:
     (P entries) and right (Q entries), each of grid.shape or None for a
     zero symbol: multiplication is convolution of the Fourier coefficients.
     """
-    idx = np.nonzero(grid.nonzero_mask())  # per-axis indices of the K modes
-    flat = np.zeros((grid.nmodes, grid.nmodes), dtype=np.intp)
-    for i in idx:
-        flat = flat * grid.N + (i[:, None] - i[None, :]) % grid.N
-    Mh = fftn(grid, np.moveaxis(samples, (-2, -1), (0, 1))) / grid.npoints
+    idx, flat = _convolution_table(grid)
+    Mh = _fourier_tables(grid, samples)
     out = np.zeros(flat.shape, dtype=complex)
     for p, lp in enumerate(left):
         for q, rq in enumerate(right):
@@ -258,16 +274,26 @@ def assemble_calB(B: CoefficientField, accretivity_floor: float = 1e-10) -> Oper
     every eigenvalue has Re lambda >= B.lamb.  Only when B.lamb is below
     accretivity_floor is kappa computed, densely; calB is refused when it
     is below the floor too, and is otherwise its margin_bound.
+
+    The four slot blocks are _gather's compressions, made from one FFT and
+    one gather of all (1+n)^2 coefficient tables and summed, term by term
+    in _gather's order, straight into the 2K x 2K matrix.
     """
     grid = B.grid
+    K, P = grid.nmodes, 1 + grid.n
+    idx, flat = _convolution_table(grid)
+    tables = _fourier_tables(grid, B.samples).reshape(P, P, -1)[:, :, flat]
     # V = [[I, 0], [0, -R]]: the perpendicular slot is component 0 with
     # symbol 1, the tangential slot components 1..n with -i xi_j / |xi|
-    perp = [np.ones(grid.shape)] + [None] * grid.n
-    par = [None] + [-sj for sj in _v_symbols(grid)]
-    m = np.block([
-        [_gather(grid, B.samples, perp, perp), _gather(grid, B.samples, perp, par)],
-        [_gather(grid, B.samples, par, perp), _gather(grid, B.samples, par, par)],
-    ])
+    sym = [np.ones(K)] + [-sj[idx] for sj in _v_symbols(grid)]
+    slots = ((slice(0, K), range(1)), (slice(K, 2 * K), range(1, P)))
+    m = np.zeros((2 * K, 2 * K), dtype=complex)
+    for rows, ps in slots:
+        for cols, qs in slots:
+            block = m[rows, cols]
+            for p in ps:
+                for q in qs:
+                    block += np.conj(sym[p])[:, None] * tables[p, q] * sym[q]
     lamb = B.lamb
     if lamb < accretivity_floor:
         lamb = float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
@@ -279,25 +305,33 @@ def assemble_calB(B: CoefficientField, accretivity_floor: float = 1e-10) -> Oper
     return OperatorMatrix(grid, m, lamb)
 
 
+def _assemble_uT(calB: OperatorMatrix) -> OperatorMatrix:
+    """uT = S calB with its certified margin (see assemble_operators)."""
+    grid = calB.grid
+    bound = calB.margin_bound * float(np.min(grid.mode_magnitudes()))
+    return OperatorMatrix(grid, _apply_S(grid, calB.matrix), bound)
+
+
+def _assemble_T(calB: OperatorMatrix, uT: OperatorMatrix) -> OperatorMatrix:
+    """T = calB S, the transpose of S calB^T, with uT's margin.  T = S^-1 uT S:
+    _table_columns maps T's norms through uT's decomposition, so T keeps uT
+    (the dataclass is frozen; its __setattr__ guards the fields, not __dict__)."""
+    T = OperatorMatrix(calB.grid, _apply_S(calB.grid, calB.matrix.T).T, uT.margin_bound)
+    T.__dict__["_uT"] = uT
+    return T
+
+
 def assemble_operators(B: CoefficientField):
-    """(S, calB, T, uT) for a first-order coefficient field B.
+    """(S, calB, T, uT) for a first-order coefficient field B, S dense.
 
     T and uT carry the certified margin kappa min|xi|, kappa =
     calB.margin_bound: from uT v = lambda v, v* calB v = lambda v* S^-1 v
     with v* S^-1 v real and at most |v|^2 / min|xi| in size, so
     |Re lambda| >= kappa min|xi|; T = S^-1 uT S has the same spectrum.
     """
-    grid = B.grid
     calB = assemble_calB(B)
-    S = assemble_S(grid)
-    bound = calB.margin_bound * float(np.min(grid.mode_magnitudes()))
-    # T = calB S is the transpose of S calB^T
-    T = OperatorMatrix(grid, _apply_S(grid, calB.matrix.T).T, bound)
-    uT = OperatorMatrix(grid, _apply_S(grid, calB.matrix), bound)
-    # T = S^-1 uT S: _table_columns maps T's norms through uT's decomposition
-    # (the dataclass is frozen; its __setattr__ guards the fields, not __dict__)
-    T.__dict__["_uT"] = uT
-    return S, calB, T, uT
+    uT = _assemble_uT(calB)
+    return assemble_S(B.grid), calB, _assemble_T(calB, uT), uT
 
 
 def _require_margin(margin: float, floor: float = MARGIN_FLOOR) -> None:
@@ -423,10 +457,10 @@ def matrix_sign(op: OperatorMatrix, method: str = "eigen") -> OperatorMatrix:
 
 
 def spectral_projectors(sgn_op: OperatorMatrix, tol: float = 1e-6):
-    """P+- = (I +- sgn)/2; requires sgn^2 = I within tolerance."""
+    """P+- = (I +- sgn)/2; requires ||sgn^2 - I||_F <= tol dim."""
     m = sgn_op.matrix
     eye = np.eye(m.shape[0])
-    if np.linalg.norm(m @ m - eye) > max(tol, 1e-6) * m.shape[0]:
+    if np.linalg.norm(m @ m - eye) > tol * m.shape[0]:
         raise InvolutionError("input is not an involution within tolerance")
     P_plus = 0.5 * (eye + m)
     P_minus = eye - P_plus

@@ -55,13 +55,15 @@ def _field_magnitude_sq(field: StripField) -> np.ndarray:
 
 
 def _window_sum(P: np.ndarray, grid: GridSpec, radius_cells: int) -> np.ndarray:
-    """Circular sliding-window sum over x-balls of the given cell radius."""
+    """Circular sliding-window sum over x-balls of the given cell radius
+    R < N/2: per axis, differences of one prefix sum over the field padded
+    circularly by R + 1 cells before and R after."""
+    R, N = radius_cells, grid.N
     out = P
     for ax in range(1, 1 + grid.n):
-        acc = out.copy()
-        for shift in range(1, radius_cells + 1):
-            acc = acc + np.roll(out, shift, axis=ax) + np.roll(out, -shift, axis=ax)
-        out = acc
+        x = np.moveaxis(out, ax, -1)
+        csum = np.cumsum(np.concatenate([x[..., N - R - 1:], x, x[..., :R]], axis=-1), axis=-1)
+        out = np.moveaxis(csum[..., 2 * R + 1:] - csum[..., :N], -1, ax)
     return out
 
 

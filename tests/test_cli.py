@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from halfspace import boundary, cli, coeffs
+from halfspace import boundary, cli, coeffs, operators
 from halfspace.cli import ExperimentConfig, build_config, item_seed, main
 from halfspace.coeffs import (
     CoefficientField,
@@ -166,6 +166,15 @@ def test_bad_config_exit_code(tmp_path):
     ("convergence", {"ladder": [[16, 64, 128]]}, "ladder"),
     ("verify", {"per_family": 1.5}, "per_family"),
     ("verify", {"hat_samples": "10"}, "hat_samples"),
+    ("convergence", {"band": True}, "band"),
+    ("convergence", {"band": "8"}, "band"),
+    ("convergence", {"band": float("inf")}, "band"),
+    ("convergence", {"band": 10**400}, "band"),
+    ("convergence", {"band": 0}, "band"),
+    ("convergence", {"band": 0.5}, "band"),
+    ("convergence", {"band": -3}, "band"),
+    ("convergence", {"amplitude": "0.3"}, "amplitude"),
+    ("convergence", {"amplitude": float("nan")}, "amplitude"),
 ])
 def test_bad_counts_exit_code(tmp_path, capsys, sub, options, name):
     cfg = tmp_path / "c.json"
@@ -294,6 +303,42 @@ def test_rellich_item_singular_blocks_report_inf(monkeypatch):
     row = cli._rellich_item(_rellich_args())
     for key in ("forward", "inverse", "graph_residual", "factorization_mismatch"):
         assert row[key] == float("inf"), key
+
+
+@pytest.mark.parametrize("n, N", [(1, 32), (1, 64), (2, 8)])
+def test_block_graph_residual_matches_projector_route(n, N):
+    # the row applies P- = (I - sgn)/2 block by block; the reference forms
+    # P- from the reassembled sign
+    for index, family in enumerate(coeffs.FAMILY_KINDS):
+        item = {"family": family, "index": index, "rep": 0}
+        row = cli._rellich_item((n, 2 * np.pi, 0, item, N))
+        grid = GridSpec(n=n, N=N, L=2 * np.pi)
+        seed = item_seed(0, index)
+        blocks = boundary.build_core(make_family(grid, family, seed=seed), method="newton").blocks
+        _, _, G = boundary.rellich_from_blocks(blocks)
+        rng = np.random.default_rng(seed + 1)
+        f = rng.standard_normal(grid.nmodes) + 1j * rng.standard_normal(grid.nmodes)
+        _, Pm = operators.spectral_projectors(
+            operators.OperatorMatrix(grid, blocks.reassemble()))
+        ref = np.linalg.norm(Pm.matrix @ np.concatenate([f, G @ f])) / np.linalg.norm(f)
+        assert abs(row["graph_residual"] - ref) <= 1e-14, family
+
+
+def test_newton_rows_form_no_dense_S_projectors_or_reassembled_sign(monkeypatch):
+    A = make_family(GridSpec(n=1, N=32, L=2 * np.pi), "lower_triangular_random", seed=2)
+    ref = boundary.sgn_blocks(operators.assemble_operators(hat_transform(A))[3], "newton")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Newton-route row does no 2K x 2K work beyond its sign")
+
+    for module, name in ((operators, "spectral_projectors"), (cli, "spectral_projectors"),
+                         (operators, "assemble_S"), (boundary.SgnBlocks, "reassemble")):
+        monkeypatch.setattr(module, name, refuse)
+    row = cli._rellich_item(_rellich_args())
+    assert row["graph_residual"] <= 1e-6
+    blocks = boundary.build_core(A, method="newton").blocks
+    for name in ("s11", "s12", "s21", "s22"):
+        assert getattr(blocks, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 def test_norms_factors_once_per_row(tmp_path, monkeypatch):

@@ -105,6 +105,24 @@ def test_gather_matches_per_vector_route(g, kind):
     assert np.linalg.norm(M - RdR) <= 1e-13 * np.linalg.norm(RdR)
 
 
+@pytest.mark.parametrize("n, N", [(1, 8), (1, 32), (1, 128), (2, 8), (2, 16)])
+def test_one_pass_assembly_equals_per_block_gathers(n, N):
+    # the four slot blocks, each from its own FFT and gather, then S calB as
+    # two scaled halves: the assembly is the same sum in the same order
+    g = GridSpec(n=n, N=N)
+    K = g.nmodes
+    w = g.mode_magnitudes()[:, None]
+    perp = [np.ones(g.shape)] + [None] * n
+    par = [None] + [-sj for sj in _v_symbols(g)]
+    for kind in FAMILY_KINDS:
+        B = hat_transform(make_family(g, kind, seed=5))
+        ref = np.block([[operators._gather(g, B.samples, l, r) for r in (perp, par)]
+                        for l in (perp, par)])
+        _, calB, _, uT = assemble_operators(B)
+        assert np.array_equal(calB.matrix, ref), kind
+        assert np.array_equal(uT.matrix, np.concatenate([w * ref[K:], w * ref[:K]])), kind
+
+
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
 @pytest.mark.parametrize("g", ASSEMBLY_GRIDS, ids=["n1N16", "n2N8"])
 def test_block_swap_equals_dense_S_products(g, kind):
@@ -164,6 +182,19 @@ def test_spectral_projectors(grid):
     with pytest.raises(InvolutionError) as exc:
         spectral_projectors(OperatorMatrix(grid, 0.5 * sg.matrix))
     assert isinstance(exc.value, NumericalError)
+
+
+def test_spectral_projectors_honour_a_tighter_tol(grid):
+    # sgn^2 - I = delta I with ||delta I||_F = 1e-9 dim
+    dim = 2 * grid.nmodes
+    delta = 1e-9 * np.sqrt(dim)
+    signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
+    sg = OperatorMatrix(grid, np.diag(signs * np.sqrt(1.0 + delta)))
+    defect = np.linalg.norm(sg.matrix @ sg.matrix - np.eye(dim))
+    assert abs(defect - 1e-9 * dim) <= 1e-3 * 1e-9 * dim
+    spectral_projectors(sg)
+    with pytest.raises(InvolutionError):
+        spectral_projectors(sg, tol=1e-10)
 
 
 def test_semigroup_property_and_mode_decay(grid):
@@ -464,9 +495,10 @@ def test_T_decomposition_from_uT_matches_eig(N):
     ts = np.concatenate([[0.0], np.geomspace(1e-2, 10.0, 12)])
     sf = evaluate(hd, ts)
     core = build_core(A)
-    assert "_decomposition" not in core.T.__dict__
+    assert not hasattr(core, "T")
+    T = assemble_operators(core.B)[2]
     H0t, cond, u, grad = _dirichlet_reference(
-        core.T, core.B, -scalar_to_coeffs(grid, u0 - np.mean(u0)), np.mean(u0), ts)
+        T, core.B, -scalar_to_coeffs(grid, u0 - np.mean(u0)), np.mean(u0), ts)
     # the handle keeps the conormal trace S H0~
     assert np.linalg.norm(_apply_S_inv(grid, hd.trace) - H0t) <= 1e-10 * np.linalg.norm(H0t)
     assert abs(hd.diagnostics["restricted_cond"] - cond) <= 1e-10 * cond
@@ -480,8 +512,8 @@ def test_dirichlet_handle_refuses_minus_subspace_of_T():
     grid = GridSpec(n=1, N=16, L=2 * np.pi)
     A = make_family(grid, "lower_triangular_random", seed=14)
     hd = solve_dirichlet_l2(A, np.cos(grid.points()[0]))
-    lam, W = np.linalg.eig(hd.core.T.matrix)
+    lam, W = np.linalg.eig(assemble_operators(hd.core.B)[2].matrix)
     x = W[:, lam.real < 0] @ np.ones(int(np.sum(lam.real < 0)))
     with pytest.raises(SubspaceError):
         SolutionHandle("l2_dirichlet", A, _apply_S(grid, x), hd.core, hd.gauge_c)
-    assert "_decomposition" not in hd.core.T.__dict__
+    assert not hasattr(hd.core, "T")

@@ -165,4 +165,4 @@ def test_solves_of_one_field_share_its_core(grid, monkeypatch):
     residual_check(evaluate(handles[0], [0.2, 0.3, 0.4]), A)
     evaluate(handles[3], [0.0, 0.2, 0.3])
     assert len(calls) == 1
-    assert "_decomposition" not in core.T.__dict__
+    assert not hasattr(core, "T")

@@ -6,6 +6,7 @@ from halfspace.grid import GridSpec
 from halfspace.solvers import StripField, evaluate, solve_dirichlet_l2, solve_neumann_l2, evaluate_full_gradient
 from halfspace.stripnorms import (
     WhitneyParams,
+    _window_sum,
     default_t_grid,
     energy_norm,
     nontangential_norm,
@@ -23,6 +24,27 @@ def neumann_strip(grid, m=1):
     f = np.cos(m * grid.points()[0]).astype(complex)
     handle = solve_neumann_l2(A, f)
     return handle, evaluate(handle, default_t_grid(grid))
+
+
+def _rolled_window_sum(P, grid, radius_cells):
+    out = P
+    for ax in range(1, 1 + grid.n):
+        acc = out.copy()
+        for shift in range(1, radius_cells + 1):
+            acc = acc + np.roll(out, shift, axis=ax) + np.roll(out, -shift, axis=ax)
+        out = acc
+    return out
+
+
+@pytest.mark.parametrize("n, N", [(1, 32), (2, 16)])
+def test_window_sum_matches_rolled_sum(n, N):
+    # the prefix-sum differences against the sum of 2R + 1 rolled copies
+    grid = GridSpec(n=n, N=N, L=2 * np.pi)
+    P = np.random.default_rng(n).random((3,) + grid.shape)
+    for radius in range(N // 2):
+        ref = _rolled_window_sum(P, grid, radius)
+        got = _window_sum(P, grid, radius)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), radius
 
 
 def test_whitney_params_validation():
