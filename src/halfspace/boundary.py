@@ -4,9 +4,10 @@ Writing sgn of the reversed product in perpendicular/parallel blocks
 [[s11, s12], [s21, s22]], the Neumann-to-Dirichlet map factorizes as
 s12^-1 (I - s11) = (I - s22)^-1 s21, its inverse (Dirichlet-to-Neumann)
 as s21^-1 (I - s22), and the lower-half-space map as -s12^-1 (I + s11).
-Sobolev topologies of order s are realized by conjugating blocks with the
-diagonal weight |xi|^s, so operator norms and singular-value floors are
-ordinary spectral quantities.
+So the Rellich constants are the ends of one singular spectrum: forward =
+sigma_max(Gamma_ND), inverse = ||Gamma_DN|| = 1/sigma_min(Gamma_ND).  Sobolev
+topologies of order s conjugate blocks with the diagonal weight |xi|^s, so
+operator norms and singular-value floors are ordinary spectral quantities.
 """
 
 from __future__ import annotations
@@ -221,30 +222,27 @@ def floors_above(floors: dict, floor: float = KEY_LEMMA_FLOOR) -> bool:
 
 
 def rellich_from_blocks(blocks: SgnBlocks, floor: float = DEFAULT_SV_FLOOR):
-    """Forward/inverse boundary Rellich constants in the L2 topology.
-
-    forward = operator norm of the Neumann-to-Dirichlet map, inverse =
-    norm of the Dirichlet-to-Neumann map; a constant is inf when its block
-    is singular at this resolution.  Returns (forward, inverse, Gamma_ND),
-    Gamma_ND at s = 0 or None when s12 is singular.
-    """
-    grid = blocks.grid
+    """Forward/inverse boundary Rellich constants in the L2 topology, from one
+    SVD: forward = sigma_max(Gamma_ND) and inverse = 1/sigma_min(Gamma_ND) =
+    ||Gamma_DN||, as Gamma_DN Gamma_ND = I when sgn^2 = I.  A constant is inf
+    when its map is singular (inverse: sigma_min(Gamma_ND) <= floor).  Returns
+    (forward, inverse, Gamma_ND at s = 0); when s12 is singular that is
+    (inf, ||Gamma_DN|| or inf when s21 is singular too, None)."""
     try:
         G = gamma_nd(blocks, s=0.0, floor=floor, check_agreement=False)
-        forward = weighted_norm(grid, G, 0.0)
     except SingularBlockError:
-        G, forward = None, float("inf")
-    try:
-        Gdn = gamma_dn(blocks, s=0.0, floor=floor, check_agreement=False)
-        inverse = weighted_norm(grid, Gdn, 0.0)
-    except SingularBlockError:
-        inverse = float("inf")
-    return forward, inverse, G
+        try:
+            Gdn = gamma_dn(blocks, s=0.0, floor=floor, check_agreement=False)
+            return float("inf"), weighted_norm(blocks.grid, Gdn, 0.0), None
+        except SingularBlockError:
+            return float("inf"), float("inf"), None
+    sv = np.linalg.svd(G, compute_uv=False)
+    return float(sv[0]), (float(1.0 / sv[-1]) if sv[-1] > floor else float("inf")), G
 
 
 def rellich_constant(A: CoefficientField, floor: float = DEFAULT_SV_FLOOR) -> dict:
-    """Rellich constants of A (see rellich_from_blocks) with its block class
-    and grid size."""
+    """Rellich constants of A, forward = sigma_max(Gamma_ND) and inverse =
+    1/sigma_min(Gamma_ND) (see rellich_from_blocks), with block class and N."""
     forward, inverse, _ = rellich_from_blocks(build_core(A, method="newton").blocks, floor)
     return {"block_class": A.block_class, "N": A.grid.N,
             "forward": forward, "inverse": inverse}

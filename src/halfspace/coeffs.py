@@ -216,13 +216,15 @@ def make_family(
         A0 = np.eye(d) if base is None else np.asarray(base, dtype=complex)
         pert = _smooth_trig_pert(grid, rng, d, imag_scale)
         samples = A0 + amplitude * pert
-        out = CoefficientField(grid, samples)
-        if out.lamb < lamb_floor:
+        # checked before CoefficientField, which refuses a non-accretive
+        # field as a numerical failure rather than a configuration mistake
+        lamb = _hermitian_min_eig(samples) if np.all(np.isfinite(samples)) else np.nan
+        if not lamb >= lamb_floor:
             raise ValueError(
-                f"smooth_trig family missed the accretivity floor "
-                f"({out.lamb:.3f} < {lamb_floor}); lower the amplitude"
+                f"smooth_trig family with amplitude {amplitude} missed the accretivity "
+                f"floor ({lamb:.3f} < {lamb_floor}); lower the amplitude"
             )
-        return out
+        return CoefficientField(grid, samples)
 
     # random block families: A = shift*I + P with P rescaled into the
     # headroom between floor and cap

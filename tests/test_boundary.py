@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -13,9 +14,10 @@ from halfspace.boundary import (
     gamma_minus,
     gamma_nd,
     rellich_constant,
+    rellich_from_blocks,
     sgn_blocks,
 )
-from halfspace.coeffs import make_family
+from halfspace.coeffs import FAMILY_KINDS, make_family
 from halfspace.grid import GridSpec
 from halfspace.operators import weighted_norm
 
@@ -130,11 +132,31 @@ def test_rellich_finite_for_triangular(grid):
         assert np.isfinite(rc["inverse"])
 
 
+@pytest.mark.parametrize("n, N", [(1, 32), (1, 64), (2, 8)])
+def test_rellich_constants_from_one_svd_of_gamma_nd(n, N):
+    # sgn^2 = I makes Gamma_DN Gamma_ND = I, so inverse = ||Gamma_DN|| is
+    # 1/sigma_min(Gamma_ND) and forward stays ||Gamma_ND||
+    grid = GridSpec(n=n, N=N, L=2 * np.pi)
+    inf = float("inf")
+    for seed, kind in enumerate(FAMILY_KINDS):
+        blocks = build_core(make_family(grid, kind, seed=seed), method="newton").blocks
+        forward, inverse, G = rellich_from_blocks(blocks)
+        assert forward == weighted_norm(grid, gamma_nd(blocks, s=0.0, check_agreement=False), 0.0)
+        Gdn = gamma_dn(blocks, s=0.0, check_agreement=False)
+        dn = np.linalg.norm(Gdn, 2)
+        assert abs(inverse - dn) <= 1e-12 * dn, kind
+        # s12 singular: no Gamma_ND, and inverse falls back to ||Gamma_DN||
+        no_s12 = dataclasses.replace(blocks, s12=np.zeros_like(blocks.s12))
+        assert rellich_from_blocks(no_s12) == (inf, weighted_norm(grid, Gdn, 0.0), None), kind
+        # s11 = I makes Gamma_ND = 0, whose inverse is unbounded
+        eye = np.eye(grid.nmodes)
+        forward, inverse, G = rellich_from_blocks(dataclasses.replace(blocks, s11=eye))
+        assert not np.any(G) and forward == 0.0 and inverse == inf, kind
+
+
 def test_singular_block_error_message(grid):
     _, blocks = blocks_for(grid, "constant")
     # force a singular lhs by zeroing s21
-    import dataclasses
-
     bad = dataclasses.replace(blocks, s21=np.zeros_like(blocks.s21))
     with pytest.raises(SingularBlockError):
         gamma_dn(bad, check_agreement=False)

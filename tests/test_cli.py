@@ -175,6 +175,8 @@ def test_bad_config_exit_code(tmp_path):
     ("convergence", {"band": -3}, "band"),
     ("convergence", {"amplitude": "0.3"}, "amplitude"),
     ("convergence", {"amplitude": float("nan")}, "amplitude"),
+    ("convergence", {"ladder": [[8, 16]], "amplitude": 1.5}, "amplitude"),
+    ("convergence", {"ladder": [[8, 16]], "amplitude": 5}, "amplitude"),
 ])
 def test_bad_counts_exit_code(tmp_path, capsys, sub, options, name):
     cfg = tmp_path / "c.json"
@@ -220,6 +222,7 @@ def test_dirichlet_datum_must_be_an_expression(tmp_path, capsys, datum):
     ({"kind": "dump", "path": "no_such_dump"}, "'path'"),
     ({"kind": "family", "family": "piecewise_random", "blocks": 32}, "'blocks'"),
     ({"kind": "family", "family": "piecewise_random", "blocks": 0}, "'blocks'"),
+    ({"kind": "family", "family": "smooth_trig", "amplitude": 5}, "amplitude 5"),
 ])
 def test_malformed_coefficient_spec_exit_code(tmp_path, capsys, coefficients, message):
     options = {"problem": "neumann", "datum": "cos(x1)", "coefficients": coefficients}
@@ -295,6 +298,28 @@ def test_rellich_item_factors_once(monkeypatch):
     assert calls == []
     assert np.isfinite(row["forward"]) and np.isfinite(row["inverse"])
     assert row["graph_residual"] <= 1e-6
+
+
+def test_rellich_item_work_count(monkeypatch):
+    # one SVD of Gamma_ND gives both constants: the K x K work is the s12
+    # floor, that SVD and the mismatch norm, and the Gamma_ND and G2 solves
+    K = GridSpec(n=1, N=32, L=2 * np.pi).nmodes
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(a, *args, **kwargs):
+            # a 2-norm of a matrix is its largest singular value
+            order = kwargs.get("ord", args[0] if args else None)
+            if np.shape(a) == (K, K) and (name != "norm" or order == 2):
+                calls.append("solve" if name == "solve" else "svd")
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("svd", "solve", "norm"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    row = cli._rellich_item(_rellich_args(N=32))
+    assert np.isfinite(row["inverse"]) and row["factorization_mismatch"] < 1e-8
+    assert (calls.count("svd"), calls.count("solve")) == (3, 2)
 
 
 def test_rellich_item_singular_blocks_report_inf(monkeypatch):
